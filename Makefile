@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint vet statleaklint lint-sarif build test race scenario chaos cluster speculate isle bench bench-json experiments-output fuzz daemon
+.PHONY: ci lint vet statleaklint lint-sarif build test race scenario chaos cluster isle perfbench bench bench-json experiments-output fuzz daemon
 
-ci: lint build test race scenario chaos cluster speculate isle fuzz
+ci: lint build test race scenario chaos cluster isle perfbench fuzz
 
 # lint = go vet plus the repository's own analyzer suite. statleaklint
 # enforces the engine's determinism/transactionality/concurrency
@@ -62,14 +62,6 @@ chaos:
 cluster:
 	$(GO) test -race -run 'TestCluster|TestRing|TestRegistry|TestSteal|TestStatus|TestRequest|TestCanonical|TestOutcome' ./internal/cluster
 
-# speculate runs the speculative-pipeline equivalence suite under the
-# race detector: the golden scoreboard with speculation forced on and
-# forced off (bit-for-bit against the same pinned file), the
-# fork/replay bitwise property, and the pipelined driver's edge cases
-# (mispredict, peel-to-empty, cancellation joins). See DESIGN.md §12.
-speculate:
-	$(GO) test -race -run 'TestSpeculative|TestSerialConfig|TestPipelined|TestFork|TestObserve' ./internal/opt ./internal/search ./internal/engine
-
 # isle runs the importance-sampling suite under the race detector:
 # per-sample weight determinism across worker counts, the zero-shift
 # bitwise reduction to plain sampling, the plain-vs-IS agreement
@@ -77,6 +69,12 @@ speculate:
 # seed-stream aliasing regression (see DESIGN.md §13).
 isle:
 	$(GO) test -race -run 'TestIS|TestZeroShift|TestSeedStream|TestTimingIS|TestAdaptiveTimingIS|TestStreamSeed|TestSplitMix' ./internal/montecarlo ./internal/yield ./internal/stats
+
+# perfbench vets and tests the repository benchmark (perfbench/), a
+# separate Go module that the root ./... patterns do not reach; this
+# is the step that catches a public API change it depends on.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs every benchmark in the repository: the root evaluation
 # harness (bench_test.go / DESIGN.md §5) plus the package-level

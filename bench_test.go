@@ -343,8 +343,6 @@ func BenchmarkMonteCarlo100(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizerStatistical measures a full statistical
-// optimization of s432.
 // BenchmarkYieldISVsPlain compares the cost of estimating a
 // Y ≈ 99.9% timing yield to equal confidence: "plain" spends the full
 // 2000-sample budget, "is" grows an importance-sampled budget only
@@ -410,6 +408,8 @@ func BenchmarkYieldISVsPlain(b *testing.B) {
 	})
 }
 
+// BenchmarkOptimizerStatistical measures a full statistical
+// optimization of s432.
 func BenchmarkOptimizerStatistical(b *testing.B) {
 	base, err := fixture.Suite("s432")
 	if err != nil {

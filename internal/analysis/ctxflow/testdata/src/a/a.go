@@ -17,8 +17,8 @@ func work(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// A speculative scan detached onto its own root context never sees
-// the driver's cancellation — the join blocks until the scan finishes
+// A background scan detached onto its own root context never sees
+// the caller's cancellation — the join blocks until the scan finishes
 // on its own.
 func detachedPrefetch(scan func(context.Context) (int, error)) chan error {
 	done := make(chan error, 1)

@@ -50,9 +50,9 @@ func spawnWaiter(p *poller) {
 	}()
 }
 
-// The broken speculative-scan shape: a prefetch goroutine that retries
-// a failed scan forever instead of reporting the error through its
-// done channel and finishing — the driver's join would block on a
+// The broken background-scan shape: a scan goroutine that retries a
+// failed scan forever instead of reporting the error through its done
+// channel and finishing — the caller's join would block on a
 // goroutine with no reachable stop signal.
 func spawnRetryingScan(p *poller, scan func() error) {
 	done := make(chan struct{})

@@ -57,10 +57,10 @@ func oneShot(log func(string)) {
 	go log("started")
 }
 
-// Speculative-scan shape (search.runPipelined): the goroutine owns
-// its fork until the defer-closed done channel releases it, the body
-// is a finite replay loop with early-return on error, and the driver
-// always joins on done — the goroutine stops by finishing.
+// Replay-then-scan shape: the goroutine owns its working copy until
+// the defer-closed done channel releases it, the body is a finite
+// replay loop with early-return on error, and the caller always joins
+// on done — the goroutine stops by finishing.
 type specTask struct {
 	done    chan struct{}
 	payload int

@@ -402,6 +402,75 @@ func TestRefreshEvery(t *testing.T) {
 	}
 }
 
+// TestForkReplayBitwiseEquivalence checks that journaled scoring is
+// net-zero on the structure-of-arrays caches across RefreshEvery
+// auto-refresh boundaries. A twin engine, built on a cloned design,
+// replays the same committed moves while the first engine also scores
+// a candidate after every move; every statistical view of the two must
+// stay exactly equal at each checkpoint, not merely close.
+func TestForkReplayBitwiseEquivalence(t *testing.T) {
+	e, d := testEngine(t, "s432", Config{Workers: 1, RefreshEvery: 16})
+	twin, err := New(d.Clone(), e.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := gateIDs(d)
+	rng := rand.New(rand.NewSource(7))
+	queryViews(t, e)
+	queryViews(t, twin)
+	for step := 0; step < 120; step++ {
+		mv, ok := randomMove(d, ids, rng)
+		if !ok {
+			continue
+		}
+		if err := e.Apply(mv); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Apply(mv); err != nil {
+			t.Fatal(err)
+		}
+		if cand, ok := randomMove(d, ids, rng); ok {
+			if _, err := e.Score(cand); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if step%8 != 0 {
+			continue
+		}
+		edq, elq, eslack := queryViews(t, e)
+		tdq, tlq, tslack := queryViews(t, twin)
+		if edq != tdq || elq != tlq {
+			t.Fatalf("step %d: scoring left residue: delayQ %v vs %v, leakQ %v vs %v",
+				step, edq, tdq, elq, tlq)
+		}
+		for i := range eslack {
+			if eslack[i] != tslack[i] {
+				t.Fatalf("step %d: slack[%d] diverged: %v vs %v", step, i, eslack[i], tslack[i])
+			}
+		}
+	}
+}
+
+// queryViews materializes and returns the engine's statistical views:
+// the delay quantile, the leakage quantile, and the per-node
+// statistical slack vector.
+func queryViews(t *testing.T, e *Engine) (dq, lq float64, slack []float64) {
+	t.Helper()
+	dq, err := e.DelayQuantile(0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lq, err = e.LeakQuantile(0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slack, err = e.StatisticalSlack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dq, lq, slack
+}
+
 func TestConfigValidation(t *testing.T) {
 	d, err := fixture.C17()
 	if err != nil {

@@ -28,6 +28,7 @@ package opt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -75,21 +76,15 @@ type Options struct {
 	// must be cheap and must not call back into the optimizer or the
 	// engine; the job server uses it to publish live status.
 	Progress func(Progress)
-	// Search configures the round-based search driver shared by every
-	// flow — most notably the speculative cross-round pipeline
-	// (Serial to force the plain loop, Speculate to force the
-	// pipeline even on a single-proc scheduler). The zero value is the
-	// right default: speculate when overlap can pay. Either way the
-	// optimization trajectory is bit-for-bit identical.
-	Search search.Config
 	// ISVerify, when non-nil, re-verifies the statistical optimizer's
 	// final design with importance-sampled Monte Carlo (adaptive
 	// budget: sample batches double until the failure probability's
 	// relative standard error reaches the target) and records the
 	// estimate in StatResult.ISYield. It is informational — the SSTA
 	// yield still gates feasibility, so enabling it never changes the
-	// optimization trajectory — and is skipped under a scenario matrix
-	// (the per-corner scoreboard already covers that case).
+	// optimization trajectory. It samples the single nominal corner,
+	// so Validate rejects it together with Scenario (the per-corner
+	// scoreboard covers that case).
 	ISVerify *ISVerifyConfig
 }
 
@@ -137,6 +132,10 @@ func DefaultOptions(tmaxPs float64) Options {
 	}
 }
 
+// errISVerifyScenario rejects ISVerify under a scenario matrix: the
+// importance sampler draws around the single nominal corner.
+var errISVerifyScenario = errors.New("opt: ISVerify samples the nominal corner only and cannot be combined with Scenario")
+
 // Validate checks the options.
 func (o Options) Validate() error {
 	switch {
@@ -160,6 +159,8 @@ func (o Options) Validate() error {
 	}
 	if iv := o.ISVerify; iv != nil {
 		switch {
+		case o.Scenario != nil:
+			return errISVerifyScenario
 		case iv.InitialSamples < 0 || iv.MaxSamples < 0:
 			return fmt.Errorf("opt: ISVerify sample counts must be >= 0")
 		case iv.RelErrTarget < 0 || iv.RelErrTarget >= 1:

@@ -9,6 +9,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/montecarlo"
 	"repro/internal/opt"
+	"repro/internal/scenario"
 	"repro/internal/sta"
 	"repro/internal/tech"
 )
@@ -43,6 +44,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *opt.Options) { o.LeakPercentile = 0 },
 		func(o *opt.Options) { o.EnableVth, o.EnableSizing = false, false },
 		func(o *opt.Options) { o.MaxMoves = -1 },
+		func(o *opt.Options) { o.Scenario, o.ISVerify = scenario.Nominal(), &opt.ISVerifyConfig{} },
 	}
 	for i, mod := range bad {
 		o := opt.DefaultOptions(100)
@@ -50,6 +52,13 @@ func TestOptionsValidate(t *testing.T) {
 		if err := o.Validate(); err == nil {
 			t.Errorf("bad options %d accepted", i)
 		}
+	}
+	// EvaluateStatistical does not validate its options, but it must
+	// not silently skip ISVerify under a scenario either.
+	o := opt.DefaultOptions(100)
+	o.Scenario, o.ISVerify = scenario.Nominal(), &opt.ISVerifyConfig{}
+	if _, err := opt.EvaluateStatistical(suite(t, "s432"), o); err == nil {
+		t.Error("EvaluateStatistical accepted ISVerify with a scenario")
 	}
 }
 

@@ -29,7 +29,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -124,25 +123,6 @@ type Policy struct {
 	// kept; returning stop ends the search. Policies whose generator
 	// over-proposes use it to stop on a fully-bounced round.
 	RoundDone func(accepted int, t *Tally) (stop bool, err error)
-
-	// Prefetch, when non-nil (together with Consume), is the policy's
-	// "propose against a hypothetical incumbent" seam: after a round is
-	// proposed but before it commits, the driver calls Prefetch on the
-	// driver goroutine. The policy snapshots whatever mutable state its
-	// next candidate scan needs — as it will stand if the round commits
-	// exactly as predicted — and returns the scan as a closure, or nil
-	// to decline speculation for this round. The closure then runs on
-	// the speculation goroutine against view, a forked engine advanced
-	// along the predicted round outcome, concurrently with the real
-	// commit; it must touch only view and its snapshot, never live
-	// policy state. See Config.Serial for the equivalence contract.
-	Prefetch func(t *Tally) func(ctx context.Context, view *engine.Engine) (any, error)
-
-	// Consume delivers a validated speculation payload immediately
-	// before the next Propose. It is called only when the committed
-	// round matched the prediction move for move, so the payload is
-	// bitwise the value Propose would have computed itself.
-	Consume func(payload any)
 }
 
 // Driver is the mutation surface the search loop drives: the single
@@ -159,53 +139,10 @@ type Driver interface {
 // stops it, ctx is cancelled, or a step fails. The returned Tally is
 // valid (reflecting all kept moves) even when err is non-nil, so
 // callers can account for partial progress.
-//
-// When the driver supports speculation (engine.Engine does) and the
-// policy provides the Prefetch/Consume seam, rounds run through the
-// speculative pipeline; pass Config.Serial to RunWith to force the
-// plain loop. Trajectories are bit-for-bit identical either way.
 func Run(ctx context.Context, e Driver, p Policy) (*Tally, error) {
-	return RunWith(ctx, e, p, Config{})
-}
-
-// Config tunes the search driver.
-type Config struct {
-	// Serial disables the speculative cross-round pipeline even when
-	// the driver and policy support it. The pipeline is bit-for-bit
-	// equivalent to the serial loop by construction (validated op
-	// traces, journaled scoring, bitwise forks), so this is a
-	// debugging/benchmarking knob, not a semantics switch.
-	Serial bool
-
-	// Speculate forces the pipeline wherever the driver and policy
-	// support it. By default the driver speculates only when a second
-	// scheduler thread exists (GOMAXPROCS > 1): the prefetch conserves
-	// work rather than shrinking it, so without true overlap the
-	// pipeline can only add fork and mispredict overhead. Tests and
-	// the equivalence gate set Speculate to exercise the pipeline
-	// regardless. Ignored when Serial is set.
-	Speculate bool
-}
-
-// RunWith is Run with explicit driver configuration.
-func RunWith(ctx context.Context, e Driver, p Policy, c Config) (*Tally, error) {
-	if !c.Serial && (c.Speculate || runtime.GOMAXPROCS(0) > 1) &&
-		p.Prefetch != nil && p.Consume != nil {
-		if sp, ok := e.(Speculator); ok {
-			return runPipelined(ctx, sp, p)
-		}
-	}
-	return runSerial(ctx, e, p)
-}
-
-func errPolicy(p Policy) error {
-	return fmt.Errorf("search: policy %q needs Propose and Verify", p.Optimizer)
-}
-
-func runSerial(ctx context.Context, e Driver, p Policy) (*Tally, error) {
 	t := &Tally{}
 	if p.Propose == nil || p.Verify == nil {
-		return t, errPolicy(p)
+		return t, fmt.Errorf("search: policy %q needs Propose and Verify", p.Optimizer)
 	}
 	proposed := metProposed.With(p.Optimizer)
 	accepted := metAccepted.With(p.Optimizer)

@@ -73,7 +73,7 @@ func TestFirstAcceptKeepsFirstSurvivor(t *testing.T) {
 			return &Round{Moves: moves}, nil
 		},
 		// Reject the first candidate, accept the second.
-		Verify: func() (bool, error) { return len(rejected) == 1, nil },
+		Verify:   func() (bool, error) { return len(rejected) == 1, nil },
 		Rejected: func(mv engine.Move) { rejected = append(rejected, mv) },
 		Accepted: func(mv engine.Move, tl *Tally) error {
 			acceptedMv = mv
@@ -153,6 +153,57 @@ func TestBatchPeelsNewestFirst(t *testing.T) {
 	}
 }
 
+// TestPipelinedBatchPeelToEmpty drains a Batch round down to nothing:
+// every move peels, the engine state is fully restored, and
+// RoundDone's accepted==0 stop rule ends the search.
+func TestPipelinedBatchPeelToEmpty(t *testing.T) {
+	t.Run("serial", func(t *testing.T) {
+		e, d := testEngine(t)
+		moves := upsizes(t, d, 3)
+		orig := make([]int, len(moves))
+		for i, mv := range moves {
+			orig[i] = d.SizeIndex(mv.Gate())
+		}
+		round := 0
+		var rejected []engine.Move
+		tally, err := Run(context.Background(), e, Policy{
+			Optimizer: "test-peel-empty",
+			Propose: func(_ context.Context, _ *Tally) (*Round, error) {
+				if round > 0 {
+					t.Error("search continued after a fully-peeled round")
+					return nil, nil
+				}
+				round++
+				return &Round{Moves: moves, Mode: Batch}, nil
+			},
+			Verify:   func() (bool, error) { return false, nil },
+			Rejected: func(mv engine.Move) { rejected = append(rejected, mv) },
+			RoundDone: func(accepted int, _ *Tally) (bool, error) {
+				return accepted == 0, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tally.Moves != 0 || tally.Peeled != 3 || tally.Rounds != 1 {
+			t.Fatalf("tally = %+v", *tally)
+		}
+		if len(rejected) != 3 {
+			t.Fatalf("rejected %d moves, want 3", len(rejected))
+		}
+		for i, mv := range rejected {
+			if mv.Gate() != moves[2-i].Gate() {
+				t.Fatalf("peel order wrong: %v", rejected)
+			}
+		}
+		for i, mv := range moves {
+			if got := d.SizeIndex(mv.Gate()); got != orig[i] {
+				t.Errorf("peeled move %d not reverted: size index %d", i, got)
+			}
+		}
+	})
+}
+
 func TestEmptyRoundsSpendRoundsWithoutMoves(t *testing.T) {
 	e, _ := testEngine(t)
 	round := 0
@@ -197,23 +248,53 @@ func TestRoundDoneStops(t *testing.T) {
 	}
 }
 
+// TestCancelledContextStopsBeforePropose: cancellation is checked at
+// every round boundary. A context cancelled before the search starts
+// stops it before the first Propose; one cancelled mid-round lets the
+// round commit and stops before the next, with the committed move
+// kept.
 func TestCancelledContextStopsBeforePropose(t *testing.T) {
-	e, _ := testEngine(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tally, err := Run(ctx, e, Policy{
-		Optimizer: "test-ctx",
-		Propose: func(_ context.Context, _ *Tally) (*Round, error) {
-			t.Error("Propose ran after cancellation")
-			return nil, nil
-		},
-		Verify: func() (bool, error) { return true, nil },
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if tally == nil || tally.Rounds != 0 {
-		t.Fatalf("tally = %+v", tally)
+	for _, tc := range []struct {
+		name        string
+		cancelFirst bool
+		wantMoves   int
+	}{
+		{"before-start", true, 0},
+		{"mid-round", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, d := testEngine(t)
+			moves := upsizes(t, d, 1)
+			orig := d.SizeIndex(moves[0].Gate())
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelFirst {
+				cancel()
+			}
+			tally, err := Run(ctx, e, Policy{
+				Optimizer: "test-ctx",
+				Propose: func(_ context.Context, tl *Tally) (*Round, error) {
+					if tc.cancelFirst || tl.Rounds > 0 {
+						t.Error("Propose ran after cancellation")
+						return nil, nil
+					}
+					return &Round{Moves: moves}, nil
+				},
+				Verify: func() (bool, error) {
+					cancel()
+					return true, nil
+				},
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v", err)
+			}
+			if tally == nil || tally.Rounds != tc.wantMoves || tally.Moves != tc.wantMoves {
+				t.Fatalf("tally = %+v", tally)
+			}
+			if got := d.SizeIndex(moves[0].Gate()); got != orig+tc.wantMoves {
+				t.Errorf("size index %d, want %d", got, orig+tc.wantMoves)
+			}
+		})
 	}
 }
 

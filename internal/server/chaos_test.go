@@ -135,7 +135,7 @@ func TestChaosServerTimeoutCap(t *testing.T) {
 		_ = m.Shutdown(ctx)
 	}()
 
-	job, err := m.Submit(Request{Netlist: bench.C17, Name: "hang", Optimizer: "deterministic", TimeoutSec: 3600})
+	job, _, err := m.Submit(Request{Netlist: bench.C17, Name: "hang", Optimizer: "deterministic", TimeoutSec: 3600})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -231,11 +231,11 @@ func TestChaosPermanentErrorsNotRetried(t *testing.T) {
 	}()
 	before := obs.Default.Values()["statleak_job_retries_total"]
 
-	injected, err := m.Submit(Request{Netlist: bench.C17, Name: "bad", Optimizer: "deterministic", MaxRetries: 3})
+	injected, _, err := m.Submit(Request{Netlist: bench.C17, Name: "bad", Optimizer: "deterministic", MaxRetries: 3})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	parseFail, err := m.Submit(Request{Netlist: "THIS IS ( NOT A NETLIST", Name: "garbage", MaxRetries: 3})
+	parseFail, _, err := m.Submit(Request{Netlist: "THIS IS ( NOT A NETLIST", Name: "garbage", MaxRetries: 3})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestChaosRetriesExhausted(t *testing.T) {
 		_ = m.Shutdown(ctx)
 	}()
 
-	job, err := m.Submit(Request{Netlist: bench.C17, Name: "flaky", MaxRetries: 2})
+	job, _, err := m.Submit(Request{Netlist: bench.C17, Name: "flaky", MaxRetries: 2})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -399,7 +399,7 @@ func TestChaosDoubleShutdown(t *testing.T) {
 	fp := &FailPoints{Execute: hangByName("hang")}
 	m := NewManager(Config{Workers: 1, FailPoints: fp})
 
-	job, err := m.Submit(Request{Netlist: bench.C17, Name: "hang"})
+	job, _, err := m.Submit(Request{Netlist: bench.C17, Name: "hang"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}

@@ -145,25 +145,27 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Submit validates and enqueues a job, returning it in StatePending.
-// A request carrying an IdempotencyKey the manager already knows is a
-// resubmission: the existing job is returned in whatever state it has
-// reached, and nothing is enqueued.
-func (m *Manager) Submit(req Request) (*Job, error) {
+// Submit validates and enqueues a job, returning it with its status
+// snapshot. For a new job the snapshot is taken before the job is
+// enqueued, so it reads StatePending even if an idle worker picks the
+// job up at once. A request carrying an IdempotencyKey the manager
+// already knows is a resubmission: the existing job is returned with
+// its current status, and nothing is enqueued.
+func (m *Manager) Submit(req Request) (*Job, Status, error) {
 	if err := req.Validate(); err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, ErrShuttingDown
+		return nil, Status{}, ErrShuttingDown
 	}
 	if req.IdempotencyKey != "" {
 		if id, ok := m.idem[req.IdempotencyKey]; ok {
 			job := m.jobs[id]
 			m.mu.Unlock()
 			m.log.Info("job resubmission deduplicated", "id", id, "key", req.IdempotencyKey)
-			return job, nil
+			return job, job.status(), nil
 		}
 	}
 	m.nextID++
@@ -173,11 +175,12 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		Created: time.Now(),
 		state:   StatePending,
 	}
+	st := job.status()
 	select {
 	case m.queue <- job:
 	default:
 		m.mu.Unlock()
-		return nil, ErrQueueFull
+		return nil, Status{}, ErrQueueFull
 	}
 	m.jobs[job.ID] = job
 	if req.IdempotencyKey != "" {
@@ -187,7 +190,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	metJobsSubmitted.Inc()
 	setQueueDepth(len(m.queue))
 	m.log.Info("job submitted", "id", job.ID, "optimizer", req.optimizer(), "circuit", req.Circuit)
-	return job, nil
+	return job, st, nil
 }
 
 // Get returns the job by ID.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Manager, *httptest.Server) {
@@ -229,6 +230,81 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
+// TestSubmitSnapshotIsPending is the regression test for the racy
+// submit response: the status a 202 carries must be the snapshot
+// taken before the job was enqueued. The manager's log writer holds
+// each "job submitted" event — logged after the enqueue, before Submit
+// returns — until the idle worker has moved the job to running, so a
+// status read after the enqueue would say "running" every time.
+func TestSubmitSnapshotIsPending(t *testing.T) {
+	var m *Manager
+	logw := &holdSubmitted{t: t, finished: make(chan struct{}, 1), state: func(id string) State {
+		j, ok := m.Get(id)
+		if !ok {
+			return ""
+		}
+		return j.status().State
+	}}
+	fp := &FailPoints{Execute: func(context.Context, *Job) (*Outcome, error, bool) {
+		return &Outcome{}, nil, true
+	}}
+	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, FailPoints: fp,
+		Log: obs.NewLogger(logw, obs.LevelInfo)})
+	for i := 0; i < 20; i++ {
+		code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", Request{Netlist: bench.C17, Optimizer: "deterministic"})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: got %d, body %s", i, code, body)
+		}
+		var st Status
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if st.State != StatePending {
+			t.Fatalf("submit %d: 202 reads %q, want %q", i, st.State, StatePending)
+		}
+		// The worker's last event for a job is "job finished"; after it
+		// the worker is idle and no longer needs the logger, which the
+		// next "job submitted" event holds.
+		select {
+		case <-logw.finished:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %s never finished", st.ID)
+		}
+	}
+}
+
+// holdSubmitted is a log writer that blocks on a "job submitted" event
+// until the job has left the pending state, and signals each "job
+// finished" event.
+type holdSubmitted struct {
+	t        *testing.T
+	state    func(id string) State
+	finished chan struct{}
+}
+
+var (
+	submittedID = regexp.MustCompile(`msg="?job submitted"? .*\bid=(job-\d+)`)
+	finishedMsg = regexp.MustCompile(`msg="?job finished"?`)
+)
+
+func (h *holdSubmitted) Write(p []byte) (int, error) {
+	if mm := submittedID.FindSubmatch(p); mm != nil {
+		id := string(mm[1])
+		deadline := time.Now().Add(10 * time.Second)
+		for h.state(id) == StatePending {
+			if time.Now().After(deadline) {
+				h.t.Errorf("job %s never left pending", id)
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if finishedMsg.Match(p) {
+		h.finished <- struct{}{}
+	}
+	return len(p), nil
+}
+
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$`)
 
 // TestMetricsEndpoint checks that the hot-path instrumentation from
@@ -369,7 +445,7 @@ func TestSubmitValidation(t *testing.T) {
 // and Shutdown returns nil within the deadline.
 func TestShutdownDrains(t *testing.T) {
 	m := NewManager(Config{Workers: 1, QueueDepth: 2})
-	job, err := m.Submit(Request{Netlist: bench.C17, Name: "c17", Optimizer: "deterministic"})
+	job, _, err := m.Submit(Request{Netlist: bench.C17, Name: "c17", Optimizer: "deterministic"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -381,7 +457,7 @@ func TestShutdownDrains(t *testing.T) {
 	if st := job.status(); st.State != StateDone {
 		t.Fatalf("after drain: state %q (err %q), want done", st.State, st.Error)
 	}
-	if _, err := m.Submit(Request{Circuit: "s432"}); err == nil {
+	if _, _, err := m.Submit(Request{Circuit: "s432"}); err == nil {
 		t.Fatal("submit after shutdown should fail")
 	}
 }
@@ -390,7 +466,7 @@ func TestShutdownDrains(t *testing.T) {
 // deadline shorter than the job cancels it and returns the ctx error.
 func TestShutdownDeadlineCancels(t *testing.T) {
 	m := NewManager(Config{Workers: 1, QueueDepth: 2})
-	job, err := m.Submit(Request{Circuit: "s1355", Optimizer: "anneal"})
+	job, _, err := m.Submit(Request{Circuit: "s1355", Optimizer: "anneal"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -423,7 +499,7 @@ func TestSequentialIDs(t *testing.T) {
 		_ = m.Shutdown(ctx)
 	}()
 	for i := 1; i <= 2; i++ {
-		j, err := m.Submit(Request{Netlist: bench.C17, Optimizer: "deterministic"})
+		j, _, err := m.Submit(Request{Netlist: bench.C17, Optimizer: "deterministic"})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
