@@ -14,7 +14,9 @@
 //     path of whoever starts next.)
 //  2. Journal state is touched only on the replay path: the fields
 //     backing the journals (Accumulator.journal/spare,
-//     Incremental.journal/spare, Engine.log, Engine.gen) are owned by
+//     Incremental.journal/spare, Engine.log, Engine.gen) and the
+//     incremental timer's one-deep undo record (Incremental.undo,
+//     which every journal start and restore must retire) are owned by
 //     the files that implement recording and replay; any other file
 //     reading or writing them bypasses the generation ordering that
 //     makes retirement O(1).
@@ -56,6 +58,7 @@ var OwnerFiles = map[typeKey]map[string][]string{
 	{"repro/internal/ssta", "Incremental"}: {
 		"journal": {"journal.go", "incremental.go"},
 		"spare":   {"journal.go"},
+		"undo":    {"journal.go", "incremental.go"},
 	},
 	{"repro/internal/engine", "Engine"}: {
 		"log": {"worker.go", "engine.go"},

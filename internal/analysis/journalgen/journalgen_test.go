@@ -9,5 +9,5 @@ import (
 
 func TestJournalGen(t *testing.T) {
 	analysistest.Run(t, journalgen.Analyzer,
-		"a", "clean", "repro/internal/engine")
+		"a", "clean", "repro/internal/engine", "repro/internal/ssta")
 }

@@ -208,6 +208,24 @@ func pollStatus(t *testing.T, base, id string, timeout time.Duration, pred func(
 	}
 }
 
+// TestClusterRejectsOversizedRequest: a request past the server's caps
+// is refused with a 400 at the coordinator, before any replica runs it.
+func TestClusterRejectsOversizedRequest(t *testing.T) {
+	rec := newRecorder()
+	_, ts, _ := newTestCluster(t, 3, rec)
+	for _, req := range []server.Request{
+		{Circuit: "s432", Name: "big-mc", IdempotencyKey: "big-mc", MCSamples: server.MaxMCSamplesCap + 1},
+		{Circuit: "s432", Name: "big-moves", IdempotencyKey: "big-moves", MaxMoves: server.MaxMovesCap + 1},
+	} {
+		if _, code := postJob(t, ts.URL, req); code != http.StatusBadRequest {
+			t.Errorf("%s: got %d, want 400", req.Name, code)
+		}
+		if n := rec.count(req.IdempotencyKey); n != 0 {
+			t.Errorf("%s: ran %d times on a replica", req.Name, n)
+		}
+	}
+}
+
 func TestClusterRouteAndResult(t *testing.T) {
 	rec := newRecorder()
 	_, ts, replicas := newTestCluster(t, 3, rec)

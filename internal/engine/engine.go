@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/leakage"
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/ssta"
 	"repro/internal/sta"
@@ -120,6 +119,11 @@ type Engine struct {
 
 	sinceRefresh int
 
+	// lastApplied is the move the latest Apply performed, cleared by
+	// every other mutation: reverting exactly that move undoes the
+	// timer's last Update instead of re-timing the cone.
+	lastApplied Move
+
 	// Persistent scoring workers (see worker.go): committed moves are
 	// logged while workers are live so each ScoreAll resyncs them by
 	// replay; a Refresh bumps gen, invalidating replay.
@@ -181,9 +185,7 @@ func (e *Engine) Apply(m Move) error {
 	if err := m.Apply(e.d); err != nil {
 		return err
 	}
-	metApplied.Inc()
-	e.logMove(m, false)
-	return e.noteChange(m.Gate())
+	return e.mirror(m, false)
 }
 
 // Revert undoes a move and updates every live cache incrementally.
@@ -191,19 +193,44 @@ func (e *Engine) Revert(m Move) error {
 	if err := m.Revert(e.d); err != nil {
 		return err
 	}
-	metReverted.Inc()
-	e.logMove(m, true)
-	return e.noteChange(m.Gate())
+	return e.mirror(m, true)
+}
+
+// mirror folds a move already applied to (or reverted on) the
+// engine's assignment into its caches, counters and worker-replay
+// log. Apply and Revert call it after mutating; a Family calls it
+// directly on every other corner, whose view aliases the one
+// assignment, so the design mutation must not repeat there (Move.
+// Apply's precondition check would reject it). Unexported on purpose:
+// only the engine and the Family may call it, which is what keeps
+// "per-corner contexts are mutated only through Family commit/replay"
+// a compile-level invariant.
+func (e *Engine) mirror(m Move, revert bool) error {
+	undo := false
+	if revert {
+		metReverted.Inc()
+		undo = m == e.lastApplied
+		e.lastApplied = nil
+	} else {
+		metApplied.Inc()
+		e.lastApplied = m
+	}
+	e.logMove(m, revert)
+	return e.noteChange(m.Gate(), undo)
 }
 
 // noteChange refreshes the caches after gate id changed, triggering
-// the periodic full rebuild when the drift budget is spent.
-func (e *Engine) noteChange(id int) error {
+// the periodic full rebuild when the drift budget is spent. undo says
+// the change reverted the latest applied move, so the timer may copy
+// back the rows that move's Update overwrote (see ssta.Incremental.
+// Undo) instead of re-timing; the refresh count is the same either
+// way.
+func (e *Engine) noteChange(id int, undo bool) error {
 	e.corner = nil
 	if e.acc != nil {
 		e.acc.Update(id)
 	}
-	if e.inc != nil {
+	if e.inc != nil && !(undo && e.inc.Undo(id)) {
 		e.inc.Update(id)
 	}
 	if e.inc != nil || e.acc != nil {
@@ -229,11 +256,9 @@ func (e *Engine) Refresh() error {
 	e.gen++
 	e.log = e.log[:0]
 	if e.inc != nil {
-		inc, err := ssta.NewIncremental(e.d)
-		if err != nil {
+		if err := e.inc.Rebuild(); err != nil {
 			return err
 		}
-		e.inc = inc
 	}
 	if e.acc != nil {
 		acc, err := leakage.NewAccumulator(e.d)
@@ -332,19 +357,7 @@ func (e *Engine) Corner(tmaxPs float64) (*sta.Result, error) {
 	if e.corner != nil && stats.EqExact(e.cornerTmax, tmaxPs) {
 		return e.corner, nil
 	}
-	n := e.d.Circuit.NumNodes()
-	delays := make([]float64, n)
-	for _, g := range e.d.Circuit.Gates() {
-		if g.Type == logic.Input {
-			continue
-		}
-		if stats.EqZero(e.dLc) && stats.EqZero(e.dVc) {
-			delays[g.ID] = e.d.GateDelay(g.ID)
-		} else {
-			delays[g.ID] = e.d.GateDelayWith(g.ID, e.dLc, e.dVc)
-		}
-	}
-	r, err := sta.AnalyzeDelays(e.d.Circuit, delays, tmaxPs, e.d.Lib.P.DffSetupPs)
+	r, err := sta.AnalyzeAt(e.d, tmaxPs, e.dLc, e.dVc)
 	if err != nil {
 		return nil, err
 	}

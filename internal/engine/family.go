@@ -33,11 +33,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/leakage"
-	"repro/internal/logic"
 	"repro/internal/scenario"
 	"repro/internal/ssta"
 	"repro/internal/sta"
-	"repro/internal/stats"
 )
 
 // Family owns one evaluation engine per scenario corner over a single
@@ -85,25 +83,6 @@ func NewFamily(d *core.Design, cfg Config, m *scenario.Matrix) (*Family, error) 
 		f.weights = append(f.weights, r.Weight)
 	}
 	return f, nil
-}
-
-// mirror folds a move that was already applied to the shared
-// assignment (through another corner's engine) into this engine's
-// caches and worker-replay log. The design mutation itself must not
-// repeat — corner views alias one assignment, and Move.Apply's
-// precondition check would reject the second application — so mirror
-// skips it and reuses the incremental-update path Apply takes after
-// mutating. Unexported on purpose: only the Family may call it, which
-// is what keeps "per-corner contexts are mutated only through Family
-// commit/replay" a compile-level invariant.
-func (e *Engine) mirror(m Move, revert bool) error {
-	if revert {
-		metReverted.Inc()
-	} else {
-		metApplied.Inc()
-	}
-	e.logMove(m, revert)
-	return e.noteChange(m.Gate())
 }
 
 // Apply performs a move on the shared assignment and updates every
@@ -463,19 +442,7 @@ func (f *Family) CornerScoreboard() ([]CornerMetrics, error) {
 		cm.NominalLeakNW = e.d.TotalLeak()
 		// Fresh corner STA (Engine.Corner memoizes and would be stale
 		// after a direct assignment restore).
-		n := e.d.Circuit.NumNodes()
-		delays := make([]float64, n)
-		for _, g := range e.d.Circuit.Gates() {
-			if g.Type == logic.Input {
-				continue
-			}
-			if stats.EqZero(e.dLc) && stats.EqZero(e.dVc) {
-				delays[g.ID] = e.d.GateDelay(g.ID)
-			} else {
-				delays[g.ID] = e.d.GateDelayWith(g.ID, e.dLc, e.dVc)
-			}
-		}
-		r, err := sta.AnalyzeDelays(e.d.Circuit, delays, e.cfg.TmaxPs, e.d.Lib.P.DffSetupPs)
+		r, err := sta.AnalyzeAt(e.d, e.cfg.TmaxPs, e.dLc, e.dVc)
 		if err != nil {
 			return nil, fmt.Errorf("engine: corner %q: %w", f.names[i], err)
 		}

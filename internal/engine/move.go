@@ -36,7 +36,8 @@ func (k Kind) String() string {
 //
 // Moves mutate only the raw design; use Engine.Apply/Engine.Revert (or
 // a Txn) to keep the engine's cached timing and leakage state
-// consistent.
+// consistent. Implementations must be comparable values: the engine
+// compares a reverted move with the last one applied.
 type Move interface {
 	// Gate returns the node ID the move touches.
 	Gate() int

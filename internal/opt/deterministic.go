@@ -10,7 +10,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/search"
 	"repro/internal/sta"
-	"repro/internal/stats"
 	"repro/internal/tech"
 )
 
@@ -53,6 +52,7 @@ func sizeToTarget(ctx context.Context, e evaluator, target float64, maxMoves int
 		maxMoves = 10 * c.NumGates()
 	}
 	dLc, dVc := e.CornerOffsets()
+	taus := sta.CornerTaus(d.Lib, dLc, dVc)
 	blacklist := make(map[int]bool)
 	analyze := func() (*sta.Result, error) {
 		return e.Corner(math.Max(target, 1))
@@ -87,7 +87,7 @@ func sizeToTarget(ctx context.Context, e evaluator, target float64, maxMoves int
 				if si+1 >= len(d.Lib.Sizes) {
 					continue
 				}
-				est := upsizeEstimate(d, id, d.Lib.Sizes[si+1], dLc, dVc)
+				est := upsizeEstimate(d, id, d.Lib.Sizes[si+1], taus)
 				if est < bestEst {
 					bestEst = est
 					bestID = id
@@ -136,25 +136,17 @@ func sizeToTarget(ctx context.Context, e evaluator, target float64, maxMoves int
 	return res, nil
 }
 
-// cellDelayAt evaluates a cell's delay at the given process point.
-func cellDelayAt(d *core.Design, ty logic.GateType, v tech.VthClass, size, load, dLnm, dVthV float64) float64 {
-	if stats.EqZero(dLnm) && stats.EqZero(dVthV) {
-		return d.Lib.Delay(ty, v, size, load)
-	}
-	return d.Lib.DelayWith(ty, v, size, load, dLnm, dVthV)
-}
-
 // upsizeEstimate returns the estimated change [ps] in the critical
-// path delay from setting gate id to newSize at the given process
-// point: its own delay change plus the load-induced delay change of
-// each of its drivers (any of which may be on the critical path).
-// Negative is good.
-func upsizeEstimate(d *core.Design, id int, newSize, dLnm, dVthV float64) float64 {
+// path delay from setting gate id to newSize at the process point whose
+// per-class time constants are taus (sta.CornerTaus): its own delay
+// change plus the load-induced delay change of each of its drivers
+// (any of which may be on the critical path). Negative is good.
+func upsizeEstimate(d *core.Design, id int, newSize float64, taus [tech.NumVthClasses]float64) float64 {
 	g := d.Circuit.Gate(id)
 	oldSize := d.Size[id]
 	load := d.Load(id)
-	own := cellDelayAt(d, g.Type, d.Vth[id], newSize, load, dLnm, dVthV) -
-		cellDelayAt(d, g.Type, d.Vth[id], oldSize, load, dLnm, dVthV)
+	tau := taus[d.Vth[id]]
+	own := d.Lib.DelayTau(g.Type, tau, newSize, load) - d.Lib.DelayTau(g.Type, tau, oldSize, load)
 	est := own
 	dCin := d.Lib.InputCap(g.Type, newSize) - d.Lib.InputCap(g.Type, oldSize)
 	pins := map[int]int{}
@@ -167,8 +159,9 @@ func upsizeEstimate(d *core.Design, id int, newSize, dLnm, dVthV float64) float6
 			continue
 		}
 		fload := d.Load(f)
-		before := cellDelayAt(d, fg.Type, d.Vth[f], d.Size[f], fload, dLnm, dVthV)
-		after := cellDelayAt(d, fg.Type, d.Vth[f], d.Size[f], fload+float64(n)*dCin, dLnm, dVthV)
+		ftau := taus[d.Vth[f]]
+		before := d.Lib.DelayTau(fg.Type, ftau, d.Size[f], fload)
+		after := d.Lib.DelayTau(fg.Type, ftau, d.Size[f], fload+float64(n)*dCin)
 		est += after - before
 	}
 	return est
@@ -328,6 +321,7 @@ func detPhaseB(ctx context.Context, e evaluator, o Options, res *Result) error {
 func bestCornerRecoveryMove(e evaluator, o Options, slack []float64, blocked map[moveKey]bool) (engine.Move, bool) {
 	d := e.Design()
 	dLc, dVc := e.CornerOffsets()
+	taus := sta.CornerTaus(d.Lib, dLc, dVc)
 	bestScore := 0.0
 	var best engine.Move
 	for _, g := range d.Circuit.Gates() {
@@ -336,7 +330,7 @@ func bestCornerRecoveryMove(e evaluator, o Options, slack []float64, blocked map
 		}
 		id := g.ID
 		load := d.Load(id)
-		dNow := cellDelayAt(d, g.Type, d.Vth[id], d.Size[id], load, dLc, dVc)
+		dNow := d.Lib.DelayTau(g.Type, taus[d.Vth[id]], d.Size[id], load)
 		lNow := d.Lib.Leak(g.Type, d.Vth[id], d.Size[id])
 		consider := func(mv engine.Move, dNew, lNew float64) {
 			dd := dNew - dNow
@@ -356,7 +350,7 @@ func bestCornerRecoveryMove(e evaluator, o Options, slack []float64, blocked map
 		if o.EnableVth && d.Vth[id] == tech.LowVth {
 			if mv, err := engine.NewVthSwap(d, id, tech.HighVth); err == nil {
 				consider(mv,
-					cellDelayAt(d, g.Type, tech.HighVth, d.Size[id], load, dLc, dVc),
+					d.Lib.DelayTau(g.Type, taus[tech.HighVth], d.Size[id], load),
 					d.Lib.Leak(g.Type, tech.HighVth, d.Size[id]))
 			}
 		}
@@ -364,7 +358,7 @@ func bestCornerRecoveryMove(e evaluator, o Options, slack []float64, blocked map
 			if mv, ok := engine.NewDownsize(d, id); ok {
 				s := d.Lib.Sizes[mv.ToIdx]
 				consider(mv,
-					cellDelayAt(d, g.Type, d.Vth[id], s, load, dLc, dVc),
+					d.Lib.DelayTau(g.Type, taus[d.Vth[id]], s, load),
 					d.Lib.Leak(g.Type, d.Vth[id], s))
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/montecarlo"
 	"repro/internal/search"
 	"repro/internal/ssta"
+	"repro/internal/sta"
 	"repro/internal/stats"
 	"repro/internal/tech"
 	"repro/internal/yield"
@@ -148,6 +149,7 @@ func statPhaseA(ctx context.Context, e evaluator, o Options, target float64, res
 			path := statCriticalPath(d, sr, kappa)
 			bestID := -1
 			bestEst := -slackEps
+			taus := sta.CornerTaus(d.Lib, 0, 0)
 			for _, id := range path {
 				g := d.Circuit.Gate(id)
 				if g.Type == logic.Input || blacklist[id] {
@@ -157,7 +159,7 @@ func statPhaseA(ctx context.Context, e evaluator, o Options, target float64, res
 				if si+1 >= len(d.Lib.Sizes) {
 					continue
 				}
-				if est := upsizeEstimate(d, id, d.Lib.Sizes[si+1], 0, 0); est < bestEst {
+				if est := upsizeEstimate(d, id, d.Lib.Sizes[si+1], taus); est < bestEst {
 					bestEst = est
 					bestID = id
 				}

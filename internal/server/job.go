@@ -132,6 +132,17 @@ const maxIdempotencyKeyLen = 256
 // re-runs a failure is not transient, it is the workload.
 const MaxRetriesCap = 10
 
+// MaxMCSamplesCap bounds Request.MCSamples. The Monte Carlo scoreboard
+// preallocates a few float64 slices of that length, so an unbounded
+// count could exhaust a replica's memory — a fatal runtime error no
+// panic guard recovers. A million samples resolve a 99.9% yield to
+// about 3e-5.
+const MaxMCSamplesCap = 1_000_000
+
+// MaxMovesCap bounds Request.MaxMoves, far above the optimizers'
+// default of ten moves per gate on the largest suite circuits.
+const MaxMovesCap = 1_000_000
+
 // Validate checks the request shape without building anything.
 func (r *Request) Validate() error {
 	switch {
@@ -159,8 +170,11 @@ func (r *Request) Validate() error {
 	if r.TmaxFactor > 0 && r.TmaxFactor < 1 {
 		return fmt.Errorf("tmax_factor %g must be >= 1 (a multiple of the minimum delay)", r.TmaxFactor)
 	}
-	if r.MCSamples < 0 || r.MaxMoves < 0 {
-		return fmt.Errorf("mc_samples and max_moves must be >= 0")
+	if r.MCSamples < 0 || r.MCSamples > MaxMCSamplesCap {
+		return fmt.Errorf("mc_samples %d out of range [0, %d]", r.MCSamples, MaxMCSamplesCap)
+	}
+	if r.MaxMoves < 0 || r.MaxMoves > MaxMovesCap {
+		return fmt.Errorf("max_moves %d out of range [0, %d]", r.MaxMoves, MaxMovesCap)
 	}
 	if _, err := montecarlo.ParseSampling(r.Sampling); err != nil {
 		return err

@@ -391,6 +391,31 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRequestValidateBounds pins the request caps: a value at its cap
+// is accepted, one past it rejected with the field named.
+func TestRequestValidateBounds(t *testing.T) {
+	cases := []struct {
+		req   Request
+		field string // "" ⇒ valid
+	}{
+		{Request{Circuit: "s432", MCSamples: MaxMCSamplesCap, MaxMoves: MaxMovesCap, MaxRetries: MaxRetriesCap}, ""},
+		{Request{Circuit: "s432", MCSamples: MaxMCSamplesCap + 1}, "mc_samples"},
+		{Request{Circuit: "s432", MCSamples: -1}, "mc_samples"},
+		{Request{Circuit: "s432", MaxMoves: MaxMovesCap + 1}, "max_moves"},
+		{Request{Circuit: "s432", MaxMoves: -1}, "max_moves"},
+		{Request{Circuit: "s432", MaxRetries: MaxRetriesCap + 1}, "max_retries"},
+	}
+	for i, c := range cases {
+		err := c.req.Validate()
+		switch {
+		case c.field == "" && err != nil:
+			t.Errorf("case %d: %v, want valid", i, err)
+		case c.field != "" && (err == nil || !strings.Contains(err.Error(), c.field)):
+			t.Errorf("case %d: error %v, want one naming %s", i, err, c.field)
+		}
+	}
+}
+
 // TestSubmitValidation exercises the 400/404 surfaces.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
@@ -405,6 +430,10 @@ func TestSubmitValidation(t *testing.T) {
 		{Circuit: "s432", TimeoutSec: -1},
 		{Circuit: "s432", MaxRetries: MaxRetriesCap + 1},
 		{Circuit: "s432", MaxRetries: -1},
+		{Circuit: "s432", MCSamples: MaxMCSamplesCap + 1},
+		{Circuit: "s432", MCSamples: -1},
+		{Circuit: "s432", MaxMoves: MaxMovesCap + 1},
+		{Circuit: "s432", MaxMoves: -1},
 	}
 	for i, req := range cases {
 		if code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req); code != http.StatusBadRequest {

@@ -17,6 +17,8 @@ var (
 		"incremental (cone-local) retimings performed")
 	metIncNodes = obs.Default.Counter("statleak_ssta_incremental_nodes_retimed_total",
 		"nodes re-evaluated across all incremental retimings")
+	metIncUndos = obs.Default.Counter("statleak_ssta_incremental_undos_total",
+		"incremental retimings reverted by copying back the overwritten rows")
 )
 
 // Incremental maintains a statistical timing view of a design and
@@ -55,6 +57,8 @@ type Incremental struct {
 
 	journal *incJournal // non-nil while a scoring round records undo state
 	spare   *incJournal // retired journal kept to reuse its allocations
+
+	undo incUndo // rows the last Update overwrote (see Undo)
 }
 
 // NewIncremental runs one full analysis and wraps it for updates.
@@ -81,6 +85,22 @@ func NewIncremental(d *core.Design) (*Incremental, error) {
 	inc := &Incremental{d: d, order: order, pos: pos, endpoint: endpoint, res: res}
 	inc.initScratch()
 	return inc, nil
+}
+
+// Rebuild re-runs the full analysis of the bound design in place —
+// the drift-discarding refresh — and returns the timer to the state
+// NewIncremental would produce, keeping the topological order and the
+// scratch, journal and undo allocations for reuse. Any undo record and
+// active journal are dropped.
+func (inc *Incremental) Rebuild() error {
+	res, err := Analyze(inc.d)
+	if err != nil {
+		return err
+	}
+	inc.res = res
+	clear(inc.loadOK)
+	inc.dropRecords()
+	return nil
 }
 
 func (inc *Incremental) initScratch() {
@@ -191,6 +211,7 @@ func (h *posHeap) pop() int {
 func (inc *Incremental) Update(changed ...int) int {
 	d := inc.d
 	c := d.Circuit
+	inc.undo.begin(inc, changed)
 	h := &posHeap{ids: inc.hIDs[:0], pos: inc.pos, in: inc.hIn}
 	for _, id := range changed {
 		h.add(id)
@@ -236,6 +257,7 @@ func (inc *Incremental) Update(changed ...int) int {
 		if inc.journal != nil {
 			inc.journal.note(inc, id)
 		}
+		inc.undo.note(inc, id)
 		inc.res.setArrival(id, *next)
 		if inc.endpoint[id] {
 			foldStale = true

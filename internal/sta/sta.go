@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/stats"
+	"repro/internal/tech"
 )
 
 // Result holds a full timing analysis.
@@ -37,7 +38,7 @@ type Result struct {
 // constraint Tmax [ps] (used only for required times/slacks; pass
 // MaxDelay for zero-slack normalization).
 func Analyze(d *core.Design, tmax float64) (*Result, error) {
-	return analyzeAt(d, tmax, 0, 0)
+	return AnalyzeAt(d, tmax, 0, 0)
 }
 
 // AnalyzeCorner runs STA with every gate evaluated at a pessimistic
@@ -50,7 +51,7 @@ func Analyze(d *core.Design, tmax float64) (*Result, error) {
 // corner files) is not included.
 func AnalyzeCorner(d *core.Design, tmax, k float64) (*Result, error) {
 	dL, dV := CornerOffsets(d, k)
-	return analyzeAt(d, tmax, dL, dV)
+	return AnalyzeAt(d, tmax, dL, dV)
 }
 
 // CornerOffsets returns the (ΔLeff [nm], ΔVth [V]) excursion of the
@@ -60,17 +61,41 @@ func CornerOffsets(d *core.Design, k float64) (dLnm, dVthV float64) {
 	return k * math.Sqrt(cfg.FracD2D+cfg.FracCorr) * cfg.SigmaLNm, 0
 }
 
-func analyzeAt(d *core.Design, tmax, dLnm, dVthV float64) (*Result, error) {
+// CornerTaus returns the time constant [ps] of each Vth class at one
+// fixed process point (dLnm, dVthV) — Tau at the nominal point, TauAt
+// elsewhere — so a caller evaluating many cells there pays the
+// alpha-power factor once per class instead of once per cell:
+// lib.DelayTau(t, taus[v], size, load) is then bit for bit the
+// cell's Delay (nominal) or DelayWith (any other point).
+func CornerTaus(lib *tech.Library, dLnm, dVthV float64) [tech.NumVthClasses]float64 {
+	var taus [tech.NumVthClasses]float64
+	for v := range taus {
+		if stats.EqZero(dLnm) && stats.EqZero(dVthV) {
+			taus[v] = lib.Tau(tech.VthClass(v))
+		} else {
+			taus[v] = lib.TauAt(tech.VthClass(v), dLnm, dVthV)
+		}
+	}
+	return taus
+}
+
+// AnalyzeAt runs STA with every gate evaluated at one fixed process
+// point (ΔLeff dLnm [nm], independent ΔVth dVthV [V]) against the
+// constraint Tmax [ps]; (0, 0) is the nominal analysis. Gates of a
+// body-biased corner view each carry their own threshold shift and are
+// evaluated one by one; otherwise τ is computed once per Vth class
+// (CornerTaus).
+func AnalyzeAt(d *core.Design, tmax, dLnm, dVthV float64) (*Result, error) {
 	n := d.Circuit.NumNodes()
 	delays := make([]float64, n)
+	taus := CornerTaus(d.Lib, dLnm, dVthV)
 	for _, g := range d.Circuit.Gates() {
-		if g.Type == logic.Input {
-			continue
-		}
-		if stats.EqZero(dLnm) && stats.EqZero(dVthV) {
-			delays[g.ID] = d.GateDelay(g.ID)
-		} else {
+		switch {
+		case g.Type == logic.Input:
+		case d.BiasVth != nil:
 			delays[g.ID] = d.GateDelayWith(g.ID, dLnm, dVthV)
+		default:
+			delays[g.ID] = d.Lib.DelayTau(g.Type, taus[d.Vth[g.ID]], d.Size[g.ID], d.Load(g.ID))
 		}
 	}
 	return AnalyzeDelays(d.Circuit, delays, tmax, d.Lib.P.DffSetupPs)

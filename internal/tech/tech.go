@@ -297,20 +297,27 @@ func (lb *Library) ParasiticCap(t logic.GateType, size float64) float64 {
 // capacitance to their drivers; high-Vth cells are uniformly slower by
 // the alpha-power factor.
 func (lb *Library) Delay(t logic.GateType, v VthClass, size, loadFF float64) float64 {
-	if t == logic.Input {
-		return 0
-	}
-	return lb.Tau(v) * (loadFF/(size*lb.P.CinUnitFF) + traits[t].p)
+	return lb.DelayTau(t, lb.Tau(v), size, loadFF)
 }
 
 // DelayWith returns the exact (nonlinear) delay [ps] under a channel-
 // length excursion dLnm [nm] and an independent threshold shift dVthV
 // [V]. This is the model Monte Carlo evaluates; DelayDerivs is its
-// linearization at (0,0).
+// linearization at (0,0). It is DelayTau at TauAt, bit for bit.
 func (lb *Library) DelayWith(t logic.GateType, v VthClass, size, loadFF, dLnm, dVthV float64) float64 {
-	if t == logic.Input {
-		return 0
-	}
+	return lb.DelayTau(t, lb.TauAt(v, dLnm, dVthV), size, loadFF)
+}
+
+// TauAt returns the time constant τ [ps] of Vth class v under a
+// channel-length excursion dLnm [nm] and an independent threshold
+// shift dVthV [V] — the alpha-power factor of DelayWith:
+//
+//	τ = τ₀·(Leff/Leff_nom)·((Vdd−Vth_low)/(Vdd−Vth_eff))^α
+//
+// It depends on neither cell type nor size nor load, so a caller
+// evaluating many cells at one fixed process point (a deterministic
+// corner) computes it once per class and calls DelayTau per cell.
+func (lb *Library) TauAt(v VthClass, dLnm, dVthV float64) float64 {
 	p := lb.P
 	vthEff := p.Vth(v) + p.KRoll*dLnm + dVthV
 	if vthEff >= p.Vdd-0.01 {
@@ -320,9 +327,17 @@ func (lb *Library) DelayWith(t logic.GateType, v VthClass, size, loadFF, dLnm, d
 	if leff < p.LeffNom*0.5 {
 		leff = p.LeffNom * 0.5
 	}
-	tau := lb.tau0Eff * (leff / p.LeffNom) *
+	return lb.tau0Eff * (leff / p.LeffNom) *
 		math.Pow((p.Vdd-p.VthLow)/(p.Vdd-vthEff), p.Alpha)
-	return tau * (loadFF/(size*p.CinUnitFF) + traits[t].p)
+}
+
+// DelayTau returns the delay [ps] of a cell of the given type and size
+// driving loadFF with time constant tau (from Tau or TauAt).
+func (lb *Library) DelayTau(t logic.GateType, tau, size, loadFF float64) float64 {
+	if t == logic.Input {
+		return 0
+	}
+	return tau * (loadFF/(size*lb.P.CinUnitFF) + traits[t].p)
 }
 
 // DelayDerivs returns the first-order sensitivities of Delay to ΔLeff

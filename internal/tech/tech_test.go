@@ -217,6 +217,81 @@ func TestDelayWithClampsExtremeExcursions(t *testing.T) {
 	}
 }
 
+// delayWithRef is the single-expression form of the exact delay model
+// that TauAt/DelayTau factor; the split must reproduce it bit for bit.
+func delayWithRef(lb *Library, t logic.GateType, v VthClass, size, loadFF, dLnm, dVthV float64) float64 {
+	if t == logic.Input {
+		return 0
+	}
+	p := lb.P
+	vthEff := p.Vth(v) + p.KRoll*dLnm + dVthV
+	if vthEff >= p.Vdd-0.01 {
+		vthEff = p.Vdd - 0.01
+	}
+	leff := p.LeffNom + dLnm
+	if leff < p.LeffNom*0.5 {
+		leff = p.LeffNom * 0.5
+	}
+	tau := lb.tau0Eff * (leff / p.LeffNom) *
+		math.Pow((p.Vdd-p.VthLow)/(p.Vdd-vthEff), p.Alpha)
+	return tau * (loadFF/(size*p.CinUnitFF) + traits[t].p)
+}
+
+// TestDelayTauSplitIsBitwise: DelayTau at TauAt is DelayWith (and the
+// single-expression model it replaced) bit for bit, over a grid that
+// crosses both clamps — the barely-on threshold and the half-length
+// channel — and DelayTau at Tau is Delay.
+func TestDelayTauSplitIsBitwise(t *testing.T) {
+	for _, temp := range []float64{25, 110} {
+		p := Default100nm()
+		p.TempC = temp
+		lb, err := NewLibrary(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clampV, clampL, total := 0, 0, 0
+		dLs := []float64{-0.8 * p.LeffNom, -0.5 * p.LeffNom, -0.49 * p.LeffNom, -7.2, -1e-3, 0, 3.6, 0.3 * p.LeffNom}
+		dVs := []float64{-0.2, -0.03, 0, 0.02, p.Vdd - 0.01 - p.VthHigh, p.Vdd - p.VthLow, 2 * p.Vdd}
+		for ty := logic.GateType(0); int(ty) < logic.NumGateTypes; ty++ {
+			for v := VthClass(0); v < NumVthClasses; v++ {
+				for _, dl := range dLs {
+					for _, dv := range dVs {
+						if p.Vth(v)+p.KRoll*dl+dv >= p.Vdd-0.01 {
+							clampV++
+						}
+						if p.LeffNom+dl < p.LeffNom*0.5 {
+							clampL++
+						}
+						tau := lb.TauAt(v, dl, dv)
+						for _, size := range lb.Sizes {
+							for _, load := range []float64{0, 1.7, 25} {
+								total++
+								got := lb.DelayTau(ty, tau, size, load)
+								want := delayWithRef(lb, ty, v, size, load, dl, dv)
+								with := lb.DelayWith(ty, v, size, load, dl, dv)
+								if math.Float64bits(got) != math.Float64bits(want) ||
+									math.Float64bits(with) != math.Float64bits(want) {
+									t.Fatalf("%v/%v size %g load %g at (%g,%g): DelayTau %v, DelayWith %v, model %v",
+										ty, v, size, load, dl, dv, got, with, want)
+								}
+								nom := lb.DelayTau(ty, lb.Tau(v), size, load)
+								if math.Float64bits(nom) != math.Float64bits(lb.Delay(ty, v, size, load)) {
+									t.Fatalf("%v/%v size %g load %g: DelayTau at Tau %v, Delay %v",
+										ty, v, size, load, nom, lb.Delay(ty, v, size, load))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if clampV == 0 || clampL == 0 {
+			t.Fatalf("grid hit the Vth clamp %d and the Leff clamp %d times; want both", clampV, clampL)
+		}
+		t.Logf("T=%g°C: %d points, %d Vth-clamped, %d Leff-clamped", temp, total, clampV, clampL)
+	}
+}
+
 func TestSizeIndex(t *testing.T) {
 	lb := newLib(t)
 	for i, s := range lb.Sizes {
