@@ -1,14 +1,14 @@
 # Tier-1 checks (vet/build/test), the statleaklint invariant suite,
-# and the race pass over every package (the engine.ScoreAll and
+# and the race pass over every package (the engine.ScoreAllCtx and
 # montecarlo worker pools are the concurrent hot spots, but -race runs
 # repo-wide so new goroutines are covered by default).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint vet statleaklint lint-sarif build test race scenario chaos cluster isle perfbench bench bench-json experiments-output fuzz daemon
+.PHONY: ci lint vet statleaklint lint-sarif build test race determinism scenario chaos cluster isle perfbench bench bench-json experiments-output fuzz daemon
 
-ci: lint build test race scenario chaos cluster isle perfbench fuzz
+ci: lint build test race determinism scenario chaos cluster isle perfbench fuzz
 
 # lint = go vet plus the repository's own analyzer suite. statleaklint
 # enforces the engine's determinism/transactionality/concurrency
@@ -37,6 +37,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# determinism re-runs the pinned trajectories on one CPU: under
+# taskset -c 0, runtime.NumCPU() is 1, so every Workers default is 1.
+# The T2/T3/S1 golden scoreboard, the 1×1 nominal-matrix golden and
+# the local-scoring order-independence oracle must hold bit for bit
+# there as well as at the runner's CPU count (the test target).
+# -count=1 because the test cache does not key on the CPU mask.
+determinism:
+	taskset -c 0 $(GO) test -count=1 -run 'TestCrossFlowGoldenScoreboard|TestNominalMatrixGoldenEquivalence|TestLocalScoresOrderIndependent' ./internal/opt ./internal/engine
 
 # scenario runs the corner-family suite under the race detector: the
 # Family's cross-corner scoring fan-out, the scenario matrix itself,

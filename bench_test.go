@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"math"
 	"testing"
@@ -301,7 +302,7 @@ func BenchmarkEngineIncrementalVsFull(b *testing.B) {
 }
 
 // BenchmarkEngineScoreAll measures one parallel scoring sweep of every
-// PO-gate candidate through the worker-pool ScoreAll path.
+// PO-gate candidate through the worker-pool ScoreAllCtx path.
 func BenchmarkEngineScoreAll(b *testing.B) {
 	d, err := fixture.Suite("s1908")
 	if err != nil {
@@ -322,7 +323,7 @@ func BenchmarkEngineScoreAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ScoreAll(moves); err != nil {
+		if _, err := e.ScoreAllCtx(context.Background(), moves); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,7 @@
 // clones (Design.Clone, Accumulator.CloneFor, Incremental.CloneFor)
 // or on immutable context snapshotted before the fan-out.
 //
-// ScoreAll's determinism argument (chunked partitioning, every worker
+// ScoreAllCtx's determinism argument (chunked partitioning, every worker
 // scoring from the same baseline) and the Monte Carlo pool's
 // replayability both rest on this: a goroutine that reads d.Vth or
 // applies a move against the shared design races with its siblings,

@@ -173,11 +173,39 @@ func (d *Design) Load(id int) float64 {
 // current assignment (0 for primary inputs). In a biased corner view
 // "nominal" means at the corner's body-bias point.
 func (d *Design) GateDelay(id int) float64 {
-	g := d.Circuit.Gate(id)
+	return d.delayAt(id, d.Vth[id], d.Size[id], d.Load(id))
+}
+
+func (d *Design) delayAt(id int, v tech.VthClass, size, loadFF float64) float64 {
+	t := d.Circuit.Gate(id).Type
 	if d.BiasVth != nil {
-		return d.Lib.DelayWith(g.Type, d.Vth[id], d.Size[id], d.Load(id), 0, d.BiasVth[id])
+		return d.Lib.DelayWith(t, v, size, loadFF, 0, d.BiasVth[id])
 	}
-	return d.Lib.Delay(g.Type, d.Vth[id], d.Size[id], d.Load(id))
+	return d.Lib.Delay(t, v, size, loadFF)
+}
+
+// Cell is one gate's nominal electrical figures at one assignment.
+type Cell struct {
+	DelayPs    float64 // GateDelay
+	SubLeakNW  float64 // GateSubLeak
+	GateLeakNW float64 // GateGateLeak
+}
+
+// LeakNW returns the cell's nominal leakage [nW] (GateLeak).
+func (c Cell) LeakNW() float64 { return c.SubLeakNW + c.GateLeakNW }
+
+// CellAt evaluates gate id at Vth class v and drive size driving
+// loadFF [fF], at the view's body-bias point, without touching the
+// assignment. Its figures are bitwise what GateDelay, GateSubLeak,
+// GateGateLeak and GateLeak return once the gate holds (v, size) and
+// Load(id) equals loadFF — the read-only form a candidate scorer
+// needs.
+func (d *Design) CellAt(id int, v tech.VthClass, size, loadFF float64) Cell {
+	return Cell{
+		DelayPs:    d.delayAt(id, v, size, loadFF),
+		SubLeakNW:  d.subLeakAt(id, v, size),
+		GateLeakNW: d.Lib.GateLeak(d.Circuit.Gate(id).Type, size),
+	}
 }
 
 // GateDelayWith returns the exact delay [ps] under parameter
@@ -226,22 +254,21 @@ func (d *Design) GateDelayAndDerivsAt(id int, load float64) (delayPs, dPerNm, dP
 
 // GateLeak returns the nominal leakage power [nW] of node id.
 func (d *Design) GateLeak(id int) float64 {
-	g := d.Circuit.Gate(id)
-	if d.BiasVth != nil {
-		return d.Lib.SubLeakWith(g.Type, d.Vth[id], d.Size[id], d.BiasVth[id]) +
-			d.Lib.GateLeak(g.Type, d.Size[id])
-	}
-	return d.Lib.Leak(g.Type, d.Vth[id], d.Size[id])
+	return d.GateSubLeak(id) + d.GateGateLeak(id)
 }
 
 // GateSubLeak returns the process-sensitive subthreshold component
 // [nW].
 func (d *Design) GateSubLeak(id int) float64 {
-	g := d.Circuit.Gate(id)
+	return d.subLeakAt(id, d.Vth[id], d.Size[id])
+}
+
+func (d *Design) subLeakAt(id int, v tech.VthClass, size float64) float64 {
+	t := d.Circuit.Gate(id).Type
 	if d.BiasVth != nil {
-		return d.Lib.SubLeakWith(g.Type, d.Vth[id], d.Size[id], d.BiasVth[id])
+		return d.Lib.SubLeakWith(t, v, size, d.BiasVth[id])
 	}
-	return d.Lib.SubLeak(g.Type, d.Vth[id], d.Size[id])
+	return d.Lib.SubLeak(t, v, size)
 }
 
 // GateGateLeak returns the Vth-independent gate-tunneling component

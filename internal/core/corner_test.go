@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/tech"
 )
 
@@ -104,5 +106,62 @@ func TestCornerView(t *testing.T) {
 	short.Sizes = hot.Sizes[:1]
 	if _, err := d.CornerView(&short, nil); err == nil {
 		t.Fatal("mismatched size ladder must error")
+	}
+}
+
+// TestCellAtMatchesApplyThenRead pins the read-only cell evaluator:
+// for every gate at every (Vth, size), CellAt equals, bitwise, what
+// GateDelay, GateSubLeak, GateGateLeak and GateLeak read once the
+// assignment is applied — on a plain design and on a hot, body-biased
+// corner view.
+func TestCellAtMatchesApplyThenRead(t *testing.T) {
+	d := c17(t)
+	p, err := tech.Preset("100nm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.TempC = 110
+	hot, err := tech.NewLibrary(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bias := make([]float64, d.Circuit.NumNodes())
+	for i := range bias {
+		bias[i] = 0.01 * float64(i%5-2) // forward and reverse bias
+	}
+	biased, err := d.CornerView(hot, bias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, v := range map[string]*core.Design{"plain": d, "biased": biased} {
+		for _, g := range v.Circuit.Gates() {
+			id := g.ID
+			v0, s0 := v.Vth[id], v.Size[id]
+			for vth := tech.VthClass(0); vth < tech.NumVthClasses; vth++ {
+				for _, size := range v.Lib.Sizes {
+					if err := v.SetVth(id, vth); err != nil {
+						t.Fatal(err)
+					}
+					if err := v.SetSize(id, size); err != nil {
+						t.Fatal(err)
+					}
+					load := v.Load(id)
+					delay, sub, gate, leak := v.GateDelay(id), v.GateSubLeak(id), v.GateGateLeak(id), v.GateLeak(id)
+					if err := v.SetVth(id, v0); err != nil {
+						t.Fatal(err)
+					}
+					if err := v.SetSize(id, s0); err != nil {
+						t.Fatal(err)
+					}
+					c := v.CellAt(id, vth, size, load)
+					if !same(c.DelayPs, delay) || !same(c.SubLeakNW, sub) ||
+						!same(c.GateLeakNW, gate) || !same(c.LeakNW(), leak) {
+						t.Fatalf("%s gate %s at (%v, %g): CellAt %+v (leak %v), applied (%v, %v, %v, %v)",
+							name, g.Name, vth, size, c, c.LeakNW(), delay, sub, gate, leak)
+					}
+				}
+			}
+		}
 	}
 }

@@ -16,13 +16,18 @@
 //     for final scoreboards.
 //   - Both caches are built lazily: a purely corner-based consumer
 //     (the deterministic optimizer) never pays for SSTA state.
-//   - Score evaluates a move's effect and puts the state back —
-//     net-zero by construction. ScoreAll fans independent candidates
-//     out over a bounded pool of persistent per-worker evaluation
-//     contexts, resynced between rounds by replaying committed moves
-//     and journal-restored after each round (see worker.go), so
-//     scoring parallelizes without locking and without re-cloning the
-//     netlist every round.
+//   - Local scoring (ScoreLocal, ScoreAllLocalCtx — the optimizers'
+//     candidate ranking) is read-only and serial: each move is
+//     evaluated at its target assignment against the engine's own
+//     state (core.Design.CellAt, leakage.Accumulator.QuantileAfter),
+//     never applied, so every score starts from the same baseline and
+//     none depends on the worker count or the move order.
+//   - Exact scoring (Score, ScoreAllCtx) applies the move, re-times its
+//     cone and puts the state back — net-zero by construction.
+//     ScoreAllCtx fans independent candidates out over a bounded pool
+//     of persistent per-worker evaluation contexts, journal-restored
+//     after each round (see worker.go), so exact scoring parallelizes
+//     without locking and without re-cloning the netlist every round.
 package engine
 
 import (
@@ -47,7 +52,7 @@ var (
 	metReverted = obs.Default.Counter("statleak_engine_moves_reverted_total",
 		"moves undone through the engine (Revert and Txn rollbacks)")
 	metScored = obs.Default.Counter("statleak_engine_moves_scored_total",
-		"speculative move evaluations (Score/ScoreLocal/ScoreAll workers)")
+		"candidate move evaluations (Score/ScoreLocal and the ScoreAll*Ctx sweeps)")
 	metRefreshes = obs.Default.Histogram("statleak_engine_cache_refresh_seconds",
 		"latency of full timing+leakage cache rebuilds (periodic drift refresh)", nil)
 )
@@ -69,7 +74,9 @@ type Config struct {
 	// from scratch after this many applied moves, bounding drift
 	// (0 ⇒ 512; negative ⇒ never).
 	RefreshEvery int
-	// Workers bounds the ScoreAll fan-out (0 ⇒ runtime.NumCPU()).
+	// Workers bounds the exact ScoreAllCtx fan-out and, below 2,
+	// turns off a Family's per-corner fan-out (0 ⇒ runtime.NumCPU()).
+	// Local scoring is serial and ignores it.
 	Workers int
 }
 
@@ -103,8 +110,8 @@ func (c Config) validate() error {
 }
 
 // Engine owns a design plus the cached analysis state the optimizers
-// iterate against. It is not safe for concurrent mutation; ScoreAll is
-// the one concurrency entry point and works on clones.
+// iterate against. It is not safe for concurrent mutation; ScoreAllCtx
+// is the one concurrency entry point and works on clones.
 type Engine struct {
 	d   *core.Design
 	cfg Config
@@ -124,11 +131,12 @@ type Engine struct {
 	// timer's last Update instead of re-timing the cone.
 	lastApplied Move
 
-	// Persistent scoring workers (see worker.go): committed moves are
-	// logged while workers are live so each ScoreAll resyncs them by
-	// replay; a Refresh bumps gen, invalidating replay.
+	// Persistent exact-scoring workers (see worker.go): committed
+	// moves are logged while workers are live, and a non-empty log or
+	// a Refresh (which bumps gen) makes the next ScoreAllCtx re-clone
+	// them.
 	workers []*scoreWorker
-	log     []logOp
+	log     []Move
 	gen     int
 }
 
@@ -197,8 +205,8 @@ func (e *Engine) Revert(m Move) error {
 }
 
 // mirror folds a move already applied to (or reverted on) the
-// engine's assignment into its caches, counters and worker-replay
-// log. Apply and Revert call it after mutating; a Family calls it
+// engine's assignment into its caches, counters and the workers'
+// commit log. Apply and Revert call it after mutating; a Family calls it
 // directly on every other corner, whose view aliases the one
 // assignment, so the design mutation must not repeat there (Move.
 // Apply's precondition check would reject it). Unexported on purpose:
@@ -215,7 +223,7 @@ func (e *Engine) mirror(m Move, revert bool) error {
 		metApplied.Inc()
 		e.lastApplied = m
 	}
-	e.logMove(m, revert)
+	e.logMove(m)
 	return e.noteChange(m.Gate(), undo)
 }
 
@@ -244,10 +252,10 @@ func (e *Engine) noteChange(id int, undo bool) error {
 
 // Refresh rebuilds every live cache from the design's current state,
 // discarding accumulated floating-point drift. It also invalidates the
-// persistent scoring workers (replaying moves onto rebuilt caches
-// would reintroduce the drift the rebuild just discarded), so this is
-// the one hook a caller who mutated the design directly must use
-// before the next ScoreAll.
+// persistent exact-scoring workers, whose clones still carry the
+// drift the rebuild just discarded, so this is the one hook a caller
+// who mutated the design directly must use before the next
+// ScoreAllCtx.
 func (e *Engine) Refresh() error {
 	t0 := time.Now()
 	defer func() { metRefreshes.Observe(time.Since(t0).Seconds()) }()

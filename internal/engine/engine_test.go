@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -318,9 +319,10 @@ func candidateMoves(t *testing.T, d *core.Design) []Move {
 	return moves
 }
 
-// TestScoreAllMatchesSerial checks the parallel scorer against the
-// serial one, exact and local modes, on a scrambled design. The
-// parallel path is what `go test -race` exercises.
+// TestScoreAllMatchesSerial checks the batch scorers against the
+// single-move ones on a scrambled design: the parallel exact scorer
+// within tolerance of Score, the serial local scorer bitwise equal to
+// ScoreLocal. The parallel path is what `go test -race` exercises.
 func TestScoreAllMatchesSerial(t *testing.T) {
 	e, d := testEngine(t, "s432", Config{Workers: 8})
 	ids := gateIDs(d)
@@ -334,11 +336,11 @@ func TestScoreAllMatchesSerial(t *testing.T) {
 	}
 
 	moves := candidateMoves(t, d)
-	par, err := e.ScoreAll(moves)
+	par, err := e.ScoreAllCtx(context.Background(), moves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parLocal, err := e.ScoreAllLocal(moves)
+	parLocal, err := e.ScoreAllLocalCtx(context.Background(), moves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +362,8 @@ func TestScoreAllMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(parLocal[i].DLeakQNW-serLocal.DLeakQNW) > 1e-9 ||
-			parLocal[i].DMarginPs != -parLocal[i].DOwnPs {
-			t.Fatalf("move %d: parallel local %+v vs serial local %+v", i, parLocal[i], serLocal)
+		if !scoreBitsEqual(parLocal[i], serLocal) || parLocal[i].DMarginPs != -parLocal[i].DOwnPs {
+			t.Fatalf("move %d: batch local %+v vs single local %+v", i, parLocal[i], serLocal)
 		}
 	}
 }

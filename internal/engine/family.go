@@ -6,11 +6,9 @@
 // applied to the shared assignment exactly once — through the primary
 // engine — and then *mirrored* into every other corner: each secondary
 // engine folds the already-applied move into its incremental caches
-// and its persistent-worker replay log without re-running the design
-// mutation. That keeps PR 4's journal/replay machinery intact per
-// corner (one committed move replays into every corner's workers)
-// while avoiding per-corner re-cloning or per-corner full
-// re-evaluation.
+// and its exact-scoring workers' commit log without re-running the
+// design mutation, which avoids per-corner re-cloning or per-corner
+// full re-evaluation.
 //
 // Aggregation semantics (what the search's verify/accept sees):
 //
@@ -40,7 +38,7 @@ import (
 
 // Family owns one evaluation engine per scenario corner over a single
 // shared assignment. Like Engine it is not safe for concurrent
-// mutation; ScoreAll* is the one concurrency entry point.
+// mutation; ScoreAll* are the concurrency entry points.
 type Family struct {
 	base    *core.Design
 	m       *scenario.Matrix
@@ -326,16 +324,19 @@ func (f *Family) Corner(tmaxPs float64) (*sta.Result, error) {
 // ScoreAllLocalCtx scores independent candidates across every corner
 // with the local timing surrogate and returns corner-aggregated
 // scores: DLeakQNW aggregated per the matrix, DMarginPs the min over
-// corners, DOwnPs/DLeakNomNW from the primary corner. Corners fan out
-// concurrently when every per-corner call takes the engine's worker
-// path (which scores on clones); otherwise they run sequentially,
-// because the engine's inline path scores directly on the corner
-// design, whose assignment arrays the corners share.
+// corners, DOwnPs/DLeakNomNW from the primary corner. Local scoring
+// only reads the shared assignment, so the corners may always fan out
+// concurrently, one goroutine per corner, each scoring serially; the
+// fan-out is skipped when Config.Workers < 2.
 func (f *Family) ScoreAllLocalCtx(ctx context.Context, moves []Move) ([]Score, error) {
 	return f.scoreAll(ctx, moves, false)
 }
 
 // ScoreAllCtx is ScoreAllLocalCtx with exact (cone re-timed) scoring.
+// Exact corners fan out only when every per-corner call takes the
+// engine's worker path (at least two moves), which scores on clones;
+// the engine's inline path applies moves to the corner design, whose
+// assignment arrays the corners share, so it runs corners one by one.
 func (f *Family) ScoreAllCtx(ctx context.Context, moves []Move) ([]Score, error) {
 	return f.scoreAll(ctx, moves, true)
 }
@@ -360,7 +361,7 @@ func (f *Family) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Scor
 		}
 		return err
 	}
-	concurrent := len(moves) >= 2
+	concurrent := !exact || len(moves) >= 2
 	for _, e := range f.engines {
 		if e.cfg.Workers < 2 {
 			concurrent = false

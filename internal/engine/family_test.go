@@ -307,8 +307,8 @@ func vthBytes(d *core.Design) []uint8 {
 }
 
 // TestFamilyScoreAllAggregation checks the cross-corner candidate
-// scoring — including the concurrent fan-out path (Workers ≥ 2, ≥ 2
-// moves) the race detector exercises — against per-corner ScoreAll
+// scoring — including the concurrent corner fan-out (Workers ≥ 2) the
+// race detector exercises — against per-corner ScoreAllLocalCtx
 // results aggregated by hand.
 func TestFamilyScoreAllAggregation(t *testing.T) {
 	f := testFamily(t, "s432", Config{Workers: 2}, fourCornerSpec(t))

@@ -47,6 +47,10 @@ type Move interface {
 	Apply(d *core.Design) error
 	// Revert undoes the move on d.
 	Revert(d *core.Design) error
+	// Target returns the gate's (Vth class, size) once the move is
+	// applied to d, without mutating d. It checks Apply's
+	// precondition and fails where Apply would.
+	Target(d *core.Design) (tech.VthClass, float64, error)
 }
 
 // VthSwap reassigns a gate's threshold class.
@@ -70,12 +74,30 @@ func (m VthSwap) Kind() Kind { return KindVthSwap }
 func (m VthSwap) Apply(d *core.Design) error  { return swapVth(d, m.ID, m.From, m.To) }
 func (m VthSwap) Revert(d *core.Design) error { return swapVth(d, m.ID, m.To, m.From) }
 
+func (m VthSwap) Target(d *core.Design) (tech.VthClass, float64, error) {
+	if err := checkVth(d, m.ID, m.From, m.To); err != nil {
+		return 0, 0, err
+	}
+	return m.To, d.Size[m.ID], nil
+}
+
 func swapVth(d *core.Design, id int, from, to tech.VthClass) error {
+	if err := checkVth(d, id, from, to); err != nil {
+		return err
+	}
+	return d.SetVth(id, to)
+}
+
+// checkVth is swapVth's precondition, SetVth's class check included.
+func checkVth(d *core.Design, id int, from, to tech.VthClass) error {
 	if d.Vth[id] != from {
 		return fmt.Errorf("engine: gate %d has Vth class %d, move expected %d",
 			id, uint8(d.Vth[id]), uint8(from))
 	}
-	return d.SetVth(id, to)
+	if !to.Valid() {
+		return fmt.Errorf("engine: invalid Vth class %d", uint8(to))
+	}
+	return nil
 }
 
 // Resize moves a gate between two adjacent-or-not ladder indices.
@@ -116,9 +138,28 @@ func (m Resize) Kind() Kind {
 func (m Resize) Apply(d *core.Design) error  { return resize(d, m.ID, m.FromIdx, m.ToIdx) }
 func (m Resize) Revert(d *core.Design) error { return resize(d, m.ID, m.ToIdx, m.FromIdx) }
 
+func (m Resize) Target(d *core.Design) (tech.VthClass, float64, error) {
+	if err := checkSize(d, m.ID, m.FromIdx, m.ToIdx); err != nil {
+		return 0, 0, err
+	}
+	return d.Vth[m.ID], d.Lib.Sizes[m.ToIdx], nil
+}
+
 func resize(d *core.Design, id, from, to int) error {
+	if err := checkSize(d, id, from, to); err != nil {
+		return err
+	}
+	return d.SetSizeIndex(id, to)
+}
+
+// checkSize is resize's precondition, SetSizeIndex's range check
+// included.
+func checkSize(d *core.Design, id, from, to int) error {
 	if got := d.SizeIndex(id); got != from {
 		return fmt.Errorf("engine: gate %d at size index %d, move expected %d", id, got, from)
 	}
-	return d.SetSizeIndex(id, to)
+	if to < 0 || to >= len(d.Lib.Sizes) {
+		return fmt.Errorf("engine: size index %d outside ladder [0,%d)", to, len(d.Lib.Sizes))
+	}
+	return nil
 }

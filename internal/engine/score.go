@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/leakage"
 	"repro/internal/ssta"
+	"repro/internal/stats"
 )
 
 // Score reports a candidate move's effect on the engine's objectives.
@@ -28,17 +29,17 @@ type Score struct {
 	DLeakNomNW float64
 }
 
-// scoreCtx is the thin evaluation context a scorer works on: a design
-// plus the leakage accumulator and (for exact scoring) an incremental
-// timer, with the baseline quantities captured once at construction.
+// scoreCtx is the thin evaluation context an exact scorer works on: a
+// design plus the leakage accumulator and incremental timer, with the
+// baseline quantities captured once at construction.
 type scoreCtx struct {
 	d   *core.Design
 	acc *leakage.Accumulator
-	inc *ssta.Incremental // nil ⇒ local timing surrogate
+	inc *ssta.Incremental
 
 	tmax, eta, p float64
 	q0           float64 // baseline leakage percentile
-	margin0      float64 // baseline yield margin (exact mode)
+	margin0      float64 // baseline yield margin
 }
 
 func (e *Engine) newScoreCtx(d *core.Design, acc *leakage.Accumulator, inc *ssta.Incremental) *scoreCtx {
@@ -47,9 +48,7 @@ func (e *Engine) newScoreCtx(d *core.Design, acc *leakage.Accumulator, inc *ssta
 		tmax: e.cfg.TmaxPs, eta: e.cfg.YieldTarget, p: e.cfg.LeakPercentile,
 	}
 	c.q0 = acc.Quantile(c.p)
-	if inc != nil {
-		c.margin0 = c.tmax - inc.Result().Quantile(c.eta)
-	}
+	c.margin0 = c.tmax - inc.Result().Quantile(c.eta)
 	return c
 }
 
@@ -65,26 +64,57 @@ func (c *scoreCtx) score(m Move) (Score, error) {
 		return Score{}, err
 	}
 	c.acc.Update(id)
-	if c.inc != nil {
-		c.inc.Update(id)
-	}
+	c.inc.Update(id)
 	s := Score{
 		DLeakQNW:   c.acc.Quantile(c.p) - c.q0,
+		DMarginPs:  (c.tmax - c.inc.Result().Quantile(c.eta)) - c.margin0,
 		DOwnPs:     c.d.GateDelay(id) - own0,
 		DLeakNomNW: c.d.GateLeak(id) - nom0,
-	}
-	if c.inc != nil {
-		s.DMarginPs = (c.tmax - c.inc.Result().Quantile(c.eta)) - c.margin0
-	} else {
-		s.DMarginPs = -s.DOwnPs
 	}
 	if err := m.Revert(c.d); err != nil {
 		return Score{}, err
 	}
 	c.acc.Update(id)
-	if c.inc != nil {
-		c.inc.Update(id)
+	c.inc.Update(id)
+	return s, nil
+}
+
+// localScorer evaluates moves read-only against the engine's current
+// state: the gate's cell figures at the move's target come from
+// core.Design.CellAt and the leakage percentile from
+// leakage.Accumulator.QuantileAfter, so nothing is applied, reverted
+// or journaled, and every score starts from the same baseline.
+type localScorer struct {
+	d   *core.Design
+	acc *leakage.Accumulator
+	z   float64 // standard-normal point of the objective percentile
+	q0  float64 // baseline leakage percentile
+}
+
+func (e *Engine) newLocalScorer() localScorer {
+	p := e.cfg.LeakPercentile
+	return localScorer{d: e.d, acc: e.acc, z: stats.NormalQuantile(p), q0: e.acc.Quantile(p)}
+}
+
+// score is bitwise the apply/score/revert evaluation of m from the
+// current state with the local timing surrogate. A phase-B move never
+// changes its own gate's load, so one Load serves both cells.
+func (c localScorer) score(m Move) (Score, error) {
+	metScored.Inc()
+	id := m.Gate()
+	v, size, err := m.Target(c.d)
+	if err != nil {
+		return Score{}, err
 	}
+	load := c.d.Load(id)
+	old := c.d.CellAt(id, c.d.Vth[id], c.d.Size[id], load)
+	cell := c.d.CellAt(id, v, size, load)
+	s := Score{
+		DLeakQNW:   c.acc.QuantileAfter(id, cell.SubLeakNW, cell.GateLeakNW, c.z) - c.q0,
+		DOwnPs:     cell.DelayPs - old.DelayPs,
+		DLeakNomNW: cell.LeakNW() - old.LeakNW(),
+	}
+	s.DMarginPs = -s.DOwnPs
 	return s, nil
 }
 
@@ -94,7 +124,7 @@ func (c *scoreCtx) score(m Move) (Score, error) {
 // restored bitwise: scoring is net-zero not just within tolerance but
 // bit for bit, so a trajectory does not depend on how often it was
 // scored, and the engine's caches stay bitwise equal to the
-// persistent scoring workers' replayed copies (see worker.go).
+// persistent scoring workers' copies (see worker.go).
 func (e *Engine) Score(m Move) (Score, error) {
 	if err := e.ensureAcc(); err != nil {
 		return Score{}, err
@@ -115,34 +145,26 @@ func (e *Engine) Score(m Move) (Score, error) {
 // delta but the first-order timing surrogate (own-delay change only),
 // skipping cone re-timing. This is the cheap prefilter the batch
 // optimizers rank candidates with; the authoritative yield check stays
-// with Apply + Yield. Like Score, the accumulator is journaled and
-// restored bitwise.
+// with Apply + Yield. It is read-only: the move is evaluated at its
+// target assignment, never applied.
 func (e *Engine) ScoreLocal(m Move) (Score, error) {
 	if err := e.ensureAcc(); err != nil {
 		return Score{}, err
 	}
-	e.acc.StartJournal()
-	defer e.acc.RestoreJournal()
-	return e.newScoreCtx(e.d, e.acc, nil).score(m)
+	return e.newLocalScorer().score(m)
 }
 
-// ScoreAll evaluates independent candidate moves in parallel with
+// ScoreAllCtx evaluates independent candidate moves in parallel with
 // exact scoring. Results are index-aligned with moves. Workers operate
 // on persistent per-slot evaluation contexts that are resynced to the
-// engine's state by replaying committed moves (see worker.go) and
-// journal-restored when the call ends, so the engine's state is
-// untouched and the call is race-free; determinism is preserved by
-// chunked partitioning (no work stealing) — every worker scores a
-// contiguous, input-ordered span from the same baseline state.
-func (e *Engine) ScoreAll(moves []Move) ([]Score, error) {
-	//lint:ignore ctxflow uncancellable compatibility wrapper; callers needing deadlines use ScoreAllCtx
-	return e.ScoreAllCtx(context.Background(), moves)
-}
-
-// ScoreAllCtx is ScoreAll with cancellation: every worker checks ctx
-// between moves, so a cancelled optimization stops scoring within one
-// move instead of finishing the fan-out. On cancellation the partial
-// scores are discarded and ctx.Err() is returned.
+// engine's state (see worker.go) and journal-restored when the call
+// ends, so the engine's state is untouched and the call is race-free;
+// determinism is preserved by chunked partitioning (no work stealing)
+// — every worker scores a contiguous, input-ordered span from the same
+// baseline state. Every worker checks ctx between moves, so a
+// cancelled optimization stops scoring within one move instead of
+// finishing the fan-out. On cancellation the partial scores are
+// discarded and ctx.Err() is returned.
 func (e *Engine) ScoreAllCtx(ctx context.Context, moves []Move) ([]Score, error) {
 	if err := e.ensureAcc(); err != nil {
 		return nil, err
@@ -150,26 +172,39 @@ func (e *Engine) ScoreAllCtx(ctx context.Context, moves []Move) ([]Score, error)
 	if err := e.ensureTiming(); err != nil {
 		return nil, err
 	}
-	return e.scoreAll(ctx, moves, true)
+	return e.scoreAll(ctx, moves)
 }
 
-// ScoreAllLocal is ScoreAll with the local timing surrogate — the
-// parallel form of ScoreLocal.
-func (e *Engine) ScoreAllLocal(moves []Move) ([]Score, error) {
-	//lint:ignore ctxflow uncancellable compatibility wrapper; callers needing deadlines use ScoreAllLocalCtx
-	return e.ScoreAllLocalCtx(context.Background(), moves)
-}
-
-// ScoreAllLocalCtx is ScoreAllLocal with cancellation (see
-// ScoreAllCtx).
+// ScoreAllLocalCtx is ScoreLocal over independent candidate moves,
+// index-aligned with moves. Each move is scored read-only from the
+// engine's own state in one serial loop — no worker contexts, no
+// goroutines — so a score depends neither on Config.Workers nor on
+// the other moves or their order. ctx is checked between moves; on
+// cancellation the partial scores are discarded and ctx.Err() is
+// returned.
 func (e *Engine) ScoreAllLocalCtx(ctx context.Context, moves []Move) ([]Score, error) {
 	if err := e.ensureAcc(); err != nil {
 		return nil, err
 	}
-	return e.scoreAll(ctx, moves, false)
+	if len(moves) == 0 {
+		return nil, nil
+	}
+	sc := e.newLocalScorer()
+	out := make([]Score, len(moves))
+	for i, m := range moves {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s, err := sc.score(m)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return out, nil
 }
 
-func (e *Engine) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Score, error) {
+func (e *Engine) scoreAll(ctx context.Context, moves []Move) ([]Score, error) {
 	if len(moves) == 0 {
 		return nil, nil
 	}
@@ -186,21 +221,13 @@ func (e *Engine) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Scor
 		// floating-point residue on the engine: an engine that scored
 		// a round is indistinguishable from one that never did, whatever
 		// the worker count.
-		var inc *ssta.Incremental
-		if exact {
-			inc = e.inc
-		}
 		e.acc.StartJournal()
-		if inc != nil {
-			inc.StartJournal()
-		}
+		e.inc.StartJournal()
 		defer func() {
 			e.acc.RestoreJournal()
-			if inc != nil {
-				inc.RestoreJournal()
-			}
+			e.inc.RestoreJournal()
 		}()
-		sc := e.newScoreCtx(e.d, e.acc, inc)
+		sc := e.newScoreCtx(e.d, e.acc, e.inc)
 		for i, m := range moves {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -213,9 +240,7 @@ func (e *Engine) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Scor
 		}
 		return out, nil
 	}
-	if err := e.syncWorkers(workers, exact); err != nil {
-		return nil, err
-	}
+	e.syncWorkers(workers)
 	errs := make([]error, workers)
 	chunk := (len(moves) + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -231,12 +256,8 @@ func (e *Engine) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Scor
 		}
 		wc := e.workers[w]
 		wc.acc.StartJournal()
-		var inc *ssta.Incremental
-		if exact {
-			inc = wc.inc
-			inc.StartJournal()
-		}
-		sc := e.newScoreCtx(wc.d, wc.acc, inc)
+		wc.inc.StartJournal()
+		sc := e.newScoreCtx(wc.d, wc.acc, wc.inc)
 		used = w + 1
 		wg.Add(1)
 		go func(sc *scoreCtx, w, lo, hi int) {
@@ -263,9 +284,7 @@ func (e *Engine) scoreAll(ctx context.Context, moves []Move, exact bool) ([]Scor
 		// pre-round state — exactly what discarding a per-call clone
 		// used to do.
 		wc.acc.RestoreJournal()
-		if exact {
-			wc.inc.RestoreJournal()
-		}
+		wc.inc.RestoreJournal()
 		if errs[w] != nil {
 			// A failed apply/revert may have left the worker's design
 			// half-moved; the journals do not cover the design, so force

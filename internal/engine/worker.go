@@ -1,14 +1,15 @@
-// Persistent scoring workers: instead of cloning the design + caches
-// on every ScoreAll call (O(netlist) allocation per round), the engine
-// keeps one evaluation context per worker slot and brings it up to
-// date by replaying the moves committed since the worker last ran —
-// O(moves committed) per round. Equivalence with the clone-per-call
-// scorer is bitwise:
+// Persistent exact-scoring workers: instead of cloning the design and
+// both caches on every exact ScoreAllCtx call (O(netlist) allocation
+// per round), the engine keeps one evaluation context per worker slot
+// and reuses it for as long as it stays bitwise equal to the engine's
+// own state. Local scoring needs none of this: it is read-only and
+// serial (see localScorer). Equivalence with the clone-per-call scorer
+// is bitwise:
 //
-//   - Replay determinism: a worker's design/accumulator/timer start as
-//     bitwise copies of the engine's and apply the same committed move
-//     sequence through the same code paths, so they stay bitwise equal
-//     to the engine's own caches.
+//   - Reuse only while synced: a worker starts as a bitwise clone of
+//     the engine's design, accumulator and timer, and is reused only
+//     while no move has been committed and no Refresh has run since it
+//     was built; otherwise it is re-cloned.
 //   - Round restoration: while scoring, each worker journals the state
 //     it touches (leakage.Accumulator/ssta.Incremental StartJournal)
 //     and restores it when the round ends, so the floating-point drift
@@ -16,86 +17,59 @@
 //     discarded here too — within a round the scoring arithmetic is
 //     exactly the old code's.
 //   - Refresh invalidation: a full cache rebuild (Engine.Refresh) bumps
-//     the engine generation; stale workers re-clone instead of
-//     replaying onto rebuilt-from-scratch caches.
+//     the engine generation; stale workers re-clone.
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/leakage"
 	"repro/internal/obs"
 	"repro/internal/ssta"
 )
 
-// Worker-lifecycle instrumentation: the replayed/full-resync ratio is
-// the persistence win (full resyncs should track Refresh cadence, not
-// round count).
+// Worker-lifecycle instrumentation: the reuse/full-resync ratio is the
+// persistence win.
 var (
 	metWorkerFullSyncs = obs.Default.Counter("statleak_engine_worker_full_resyncs_total",
 		"scoring-worker contexts rebuilt by cloning the engine state")
 	metWorkerReplays = obs.Default.Counter("statleak_engine_worker_replay_resyncs_total",
-		"scoring-worker contexts resynced by replaying committed moves")
-	metWorkerReplayedMoves = obs.Default.Counter("statleak_engine_worker_replayed_moves_total",
-		"committed moves replayed into scoring workers during resyncs")
+		"scoring-worker contexts reused as synced (no move committed since their last round)")
 )
 
-// logOp is one committed engine mutation, recorded while workers are
-// live so they can be resynced by replay.
-type logOp struct {
-	m      Move
-	revert bool
-}
-
-// scoreWorker is one persistent evaluation context. Its design,
-// accumulator and (for exact scoring) timer are bitwise equal to the
-// engine's own state whenever the worker is synced and idle.
+// scoreWorker is one persistent exact-scoring context. Its design,
+// accumulator and timer are bitwise equal to the engine's own state
+// whenever the worker is synced and idle.
 type scoreWorker struct {
 	d   *core.Design
 	acc *leakage.Accumulator
-	inc *ssta.Incremental // lazily created on the first exact round
+	inc *ssta.Incremental
 
 	gen   int  // engine generation this context was built against
 	dirty bool // a scoring error left the state unknown; must re-clone
 }
 
-// logMove records a committed mutation for worker replay. Only called
-// once workers exist; before that the log stays empty and the first
-// sync clones the current state directly.
-func (e *Engine) logMove(m Move, revert bool) {
+// logMove records a committed mutation, which makes every live worker
+// stale. Only called once workers exist; before that the log stays
+// empty and the first sync clones the current state directly.
+func (e *Engine) logMove(m Move) {
 	if len(e.workers) > 0 {
-		e.log = append(e.log, logOp{m: m, revert: revert})
+		e.log = append(e.log, m)
 	}
 }
 
 // syncWorkers brings the first n worker slots up to date with the
-// engine (creating them as needed), replays every other live worker so
-// the log can be truncated, and ensures slots [0,n) carry a timer when
-// exact scoring is requested. The engine's acc (and inc, when exact)
+// engine, creating them as needed, and drops every other slot that has
+// gone stale. Replaying the logged moves into a worker would re-time a
+// fanout cone per move — measured dearer than cloning the whole timer
+// — so a worker is reused only while the log is empty (the
+// repeated-ranking-sweep case, where persistence saves the per-call
+// clone outright) and re-cloned otherwise. The engine's acc and inc
 // must exist.
-func (e *Engine) syncWorkers(n int, exact bool) error {
+func (e *Engine) syncWorkers(n int) {
 	for len(e.workers) < n {
 		e.workers = append(e.workers, nil)
 	}
-	// Replay beats re-cloning only while it is cheap. An acc-only
-	// worker replays an op in O(k²) leakage work, far below an
-	// O(netlist) clone, so its threshold scales with the netlist. A
-	// worker carrying a timer re-times a fanout cone per op — measured
-	// dearer than cloning the whole timer — so it replays only an empty
-	// log (the repeated-ranking-sweep case, where persistence saves the
-	// per-call timer clone outright).
-	replayLocal := len(e.log) <= e.d.Circuit.NumNodes()/4
 	for i, wc := range e.workers {
-		if wc != nil && !exact && wc.inc != nil {
-			// A stale timer would drag cone re-timing into every replayed
-			// op; drop it and let the next exact round re-clone lazily.
-			wc.inc = nil
-		}
-		replayWorthIt := replayLocal
-		if wc != nil && wc.inc != nil {
-			replayWorthIt = len(e.log) == 0
-		}
 		switch {
 		case wc == nil:
 			if i >= n {
@@ -104,51 +78,28 @@ func (e *Engine) syncWorkers(n int, exact bool) error {
 			wc = &scoreWorker{}
 			e.workers[i] = wc
 			wc.fullResync(e)
-		case wc.dirty || wc.gen != e.gen || !replayWorthIt:
+		case wc.dirty || wc.gen != e.gen || len(e.log) > 0:
 			if i >= n {
-				// Not needed this round and too stale to replay cheaply:
-				// drop it and re-clone lazily if a wider call returns.
+				// Not needed this round and stale: drop it and re-clone
+				// lazily if a wider call returns.
 				e.workers[i] = nil
 				continue
 			}
 			wc.fullResync(e)
 		default:
-			for _, op := range e.log {
-				var err error
-				if op.revert {
-					err = op.m.Revert(wc.d)
-				} else {
-					err = op.m.Apply(wc.d)
-				}
-				if err != nil {
-					wc.dirty = true
-					return fmt.Errorf("engine: worker resync replay: %w", err)
-				}
-				wc.acc.Update(op.m.Gate())
-				if wc.inc != nil {
-					wc.inc.Update(op.m.Gate())
-				}
-			}
 			metWorkerReplays.Inc()
-			metWorkerReplayedMoves.Add(uint64(len(e.log)))
-		}
-		if exact && i < n && wc.inc == nil {
-			wc.inc = e.inc.CloneFor(wc.d)
 		}
 	}
 	e.log = e.log[:0]
-	return nil
 }
 
 // fullResync rebuilds the worker as bitwise clones of the engine's
-// current caches. The timer is dropped, not cloned: purely local
-// rounds never pay for one, and the exact-round clause in syncWorkers
-// recreates it from the engine's current timer on demand.
+// current design and caches.
 func (wc *scoreWorker) fullResync(e *Engine) {
 	dc := e.d.Clone()
 	wc.d = dc
 	wc.acc = e.acc.CloneFor(dc)
-	wc.inc = nil
+	wc.inc = e.inc.CloneFor(dc)
 	wc.gen = e.gen
 	wc.dirty = false
 	metWorkerFullSyncs.Inc()

@@ -1,19 +1,19 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/fixture"
-	"repro/internal/ssta"
 )
 
-// cloneScoreAll replicates the pre-persistent-worker ScoreAll: a fresh
-// clone of the engine's design and caches per worker per call, same
-// contiguous chunk partitioning, same parallel fan-out. It is the
+// cloneScoreAll replicates the pre-persistent-worker exact ScoreAllCtx:
+// a fresh clone of the engine's design and caches per worker per call,
+// same contiguous chunk partitioning, same parallel fan-out. It is the
 // throughput baseline the persistent workers are measured against.
-func cloneScoreAll(e *Engine, moves []Move, exact bool) ([]Score, error) {
+func cloneScoreAll(e *Engine, moves []Move) ([]Score, error) {
 	workers := e.cfg.Workers
 	if workers > len(moves) {
 		workers = len(moves)
@@ -32,11 +32,7 @@ func cloneScoreAll(e *Engine, moves []Move, exact bool) ([]Score, error) {
 			break
 		}
 		dc := e.d.Clone()
-		var inc *ssta.Incremental
-		if exact {
-			inc = e.inc.CloneFor(dc)
-		}
-		sc := e.newScoreCtx(dc, e.acc.CloneFor(dc), inc)
+		sc := e.newScoreCtx(dc, e.acc.CloneFor(dc), e.inc.CloneFor(dc))
 		wg.Add(1)
 		go func(sc *scoreCtx, w, lo, hi int) {
 			defer wg.Done()
@@ -59,11 +55,11 @@ func cloneScoreAll(e *Engine, moves []Move, exact bool) ([]Score, error) {
 	return out, nil
 }
 
-// benchRoundScoring measures optimizer-shaped scoring rounds on the
-// largest synthetic circuit: score a candidate batch in parallel, then
-// commit a couple of moves (the part the persistent workers must absorb
-// by replay before the next round).
-func benchRoundScoring(b *testing.B, persistent, exact bool, batch int) {
+// benchRoundScoring measures optimizer-shaped exact scoring rounds on
+// the largest synthetic circuit: score a candidate batch in parallel,
+// then commit a couple of moves (which the persistent workers must
+// absorb before the next round).
+func benchRoundScoring(b *testing.B, persistent bool, batch int) {
 	d, err := fixture.Suite("s7552")
 	if err != nil {
 		b.Fatal(err)
@@ -94,16 +90,9 @@ func benchRoundScoring(b *testing.B, persistent, exact bool, batch int) {
 			}
 		}
 		if persistent {
-			if exact {
-				_, err = e.ScoreAll(moves)
-			} else {
-				_, err = e.ScoreAllLocal(moves)
-			}
+			_, err = e.ScoreAllCtx(context.Background(), moves)
 		} else {
-			err = e.ensureTiming() // cloneScoreAll assumes live caches
-			if err == nil {
-				_, err = cloneScoreAll(e, moves, exact)
-			}
+			_, err = cloneScoreAll(e, moves)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -118,20 +107,20 @@ func benchRoundScoring(b *testing.B, persistent, exact bool, batch int) {
 	}
 }
 
-// benchWorkerResync isolates the per-round worker refresh the
-// persistent contexts exist to cheapen: commit two moves (excluded
-// from the timing), then bring all four worker contexts back in sync —
-// by replaying the committed moves (persistent path) or by the old
-// path's from-scratch clones of the engine state. Scoring work, being
-// identical in both designs, is deliberately absent.
-func benchWorkerResync(b *testing.B, persistent, exact bool) {
+// benchWorkerResync isolates the per-round worker refresh: commit two
+// moves (excluded from the timing), then bring all four exact-scoring
+// worker contexts back in sync — through syncWorkers (persistent path)
+// or by the old path's from-scratch clones of the engine state.
+// Scoring work, being identical in both designs, is deliberately
+// absent.
+func benchWorkerResync(b *testing.B, persistent bool) {
 	d, err := fixture.Suite("s7552")
 	if err != nil {
 		b.Fatal(err)
 	}
 	// RefreshEvery -1: the periodic drift rebuild would force full
 	// resyncs on both paths at the same cadence; disabling it isolates
-	// the steady-state replay-vs-clone cost.
+	// the steady-state resync cost.
 	e, err := New(d, Config{TmaxPs: 1000, Workers: 4, RefreshEvery: -1})
 	if err != nil {
 		b.Fatal(err)
@@ -144,9 +133,7 @@ func benchWorkerResync(b *testing.B, persistent, exact bool) {
 	}
 	if persistent {
 		// Seed the worker slots so the loop measures steady-state resync.
-		if err := e.syncWorkers(4, exact); err != nil {
-			b.Fatal(err)
-		}
+		e.syncWorkers(4)
 	}
 	ids := gateIDs(d)
 	rng := rand.New(rand.NewSource(1))
@@ -163,35 +150,21 @@ func benchWorkerResync(b *testing.B, persistent, exact bool) {
 		}
 		b.StartTimer()
 		if persistent {
-			if err := e.syncWorkers(4, exact); err != nil {
-				b.Fatal(err)
-			}
+			e.syncWorkers(4)
 		} else {
 			for w := 0; w < 4; w++ {
 				dc := e.d.Clone()
-				var inc *ssta.Incremental
-				if exact {
-					inc = e.inc.CloneFor(dc)
-				}
-				e.newScoreCtx(dc, e.acc.CloneFor(dc), inc)
+				e.newScoreCtx(dc, e.acc.CloneFor(dc), e.inc.CloneFor(dc))
 			}
 		}
 	}
 }
 
-func BenchmarkWorkerResyncReplayLocal(b *testing.B) { benchWorkerResync(b, true, false) }
-func BenchmarkWorkerResyncReplayExact(b *testing.B) { benchWorkerResync(b, true, true) }
-func BenchmarkWorkerResyncCloneLocal(b *testing.B)  { benchWorkerResync(b, false, false) }
-func BenchmarkWorkerResyncCloneExact(b *testing.B)  { benchWorkerResync(b, false, true) }
+func BenchmarkWorkerResyncReplayExact(b *testing.B) { benchWorkerResync(b, true) }
+func BenchmarkWorkerResyncCloneExact(b *testing.B)  { benchWorkerResync(b, false) }
 
-// Batch 8 is a batched top-k commit round (the statistical recovery
-// phase's floor is 4); batch 48 is a candidate-ranking sweep. The
-// per-call clone tax of the old path is paid per round regardless of
-// batch size, so the small-round benchmarks isolate it while the large
-// ones show the scoring-bound regime.
-func BenchmarkRoundScoringPersistentExact8(b *testing.B)  { benchRoundScoring(b, true, true, 8) }
-func BenchmarkRoundScoringPersistentLocal8(b *testing.B)  { benchRoundScoring(b, true, false, 8) }
-func BenchmarkRoundScoringCloneExact8(b *testing.B)       { benchRoundScoring(b, false, true, 8) }
-func BenchmarkRoundScoringCloneLocal8(b *testing.B)       { benchRoundScoring(b, false, false, 8) }
-func BenchmarkRoundScoringPersistentLocal48(b *testing.B) { benchRoundScoring(b, true, false, 48) }
-func BenchmarkRoundScoringCloneLocal48(b *testing.B)      { benchRoundScoring(b, false, false, 48) }
+// Batch 8 is a batched top-k commit round. The per-call clone tax of
+// the old path is paid per round regardless of batch size, so the
+// small rounds isolate it.
+func BenchmarkRoundScoringPersistentExact8(b *testing.B) { benchRoundScoring(b, true, 8) }
+func BenchmarkRoundScoringCloneExact8(b *testing.B)      { benchRoundScoring(b, false, 8) }

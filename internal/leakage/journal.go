@@ -1,7 +1,7 @@
 package leakage
 
 // Journal support: a scoring worker that keeps a persistent
-// Accumulator across rounds (see engine.ScoreAll) records every value
+// Accumulator across rounds (see engine.ScoreAllCtx) records every value
 // it is about to overwrite and restores the lot when the round ends,
 // so the worker's state returns bitwise to its pre-round snapshot —
 // including the floating-point drift a clone-per-round scorer would

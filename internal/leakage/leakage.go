@@ -143,11 +143,7 @@ func Exact(d *core.Design) (*Analysis, error) {
 }
 
 func finish(mean, second, gateLeak float64) (*Analysis, error) {
-	variance := second - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	fit, err := stats.LognormalFromMoments(mean, variance)
+	fit, variance, err := fitSum(mean, second)
 	if err != nil {
 		return nil, fmt.Errorf("leakage: %v", err)
 	}
@@ -157,6 +153,17 @@ func finish(mean, second, gateLeak float64) (*Analysis, error) {
 		Fit:        fit,
 		GateLeakNW: gateLeak,
 	}, nil
+}
+
+// fitSum matches a lognormal to the variational sum's mean and second
+// moment, returning the fit and the (clamped) variance.
+func fitSum(mean, second float64) (stats.Lognormal, float64, error) {
+	variance := second - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	fit, err := stats.LognormalFromMoments(mean, variance)
+	return fit, variance, err
 }
 
 // Accumulator maintains the factored second-moment state of the
@@ -297,7 +304,6 @@ func (a *Accumulator) Update(id int) {
 
 // Analysis produces the moment-matched view of the current state.
 func (a *Accumulator) Analysis() (*Analysis, error) {
-	mean := a.M
 	v2 := 0.0
 	for _, x := range a.v {
 		v2 += x * x
@@ -306,9 +312,56 @@ func (a *Accumulator) Analysis() (*Analysis, error) {
 	for _, x := range a.b {
 		bf += x * x
 	}
-	off := (a.M*a.M - a.Q) + (v2 - a.d1) + 0.5*(bf-a.d2)
-	second := a.second2 + off
-	return finish(mean, second, a.gateLeak)
+	return finish(a.M, secondMoment(a.M, a.Q, a.d1, a.d2, a.second2, v2, bf), a.gateLeak)
+}
+
+// secondMoment assembles E[S²] of the subthreshold sum from the
+// factored sums, with v2 = |v|² and bf = ‖B‖²_F.
+func secondMoment(M, Q, d1, d2, second2, v2, bf float64) float64 {
+	off := (M*M - Q) + (v2 - d1) + 0.5*(bf-d2)
+	return second2 + off
+}
+
+// QuantileAfter returns the leakage quantile at standard-normal point
+// z (stats.NormalQuantile(p)) that the accumulator would report if gate
+// id's subthreshold and gate leakage [nW] became subNW and gateNW. It
+// writes nothing: one fused pass over v and B forms exactly the sums
+// Update(id) would leave behind, so the result is bitwise
+// Update(id) followed by Quantile(p) from the same state. NaN on a
+// moment-matching failure, as for Quantile.
+func (a *Accumulator) QuantileAfter(id int, subNW, gateNW, z float64) float64 {
+	ex := &a.exps[id]
+	pg := a.pg[pgStride*id : pgStride*id+pgStride]
+	// The removal half mirrors addGate(id, -1) on the cached row, the
+	// insertion half addGate(id, +1) on the new values, term by term
+	// and in the same association, so every sum rounds as it would.
+	mo := -pg[0]
+	mn := subNW * ex.expHalf
+	M := a.M + mo + mn
+	Q := a.Q + mo*pg[0] + mn*mn
+	d1 := a.d1 + mo*pg[0]*ex.normE2 + mn*mn*ex.normE2
+	d2 := a.d2 + mo*pg[0]*ex.normE2*ex.normE2 + mn*mn*ex.normE2*ex.normE2
+	second2 := a.second2 + mo*pg[0]*pg[1] + mn*mn*ex.expFull
+	gateLeak := a.gateLeak + -pg[2] + gateNW
+
+	e := ex.e[:a.k]
+	v := a.v[:a.k]
+	v2, bf := 0.0, 0.0
+	for k, ek := range e {
+		so, sn := mo*ek, mn*ek
+		vk := v[k] + so + sn
+		v2 += vk * vk
+		row := a.b[k*a.k : (k+1)*a.k : (k+1)*a.k]
+		for l, el := range e {
+			x := row[l] + so*el + sn*el
+			bf += x * x
+		}
+	}
+	fit, _, err := fitSum(M, secondMoment(M, Q, d1, d2, second2, v2, bf))
+	if err != nil {
+		return math.NaN()
+	}
+	return gateLeak + fit.QuantileZ(z)
 }
 
 // Quantile is a convenience for Analysis().Quantile(p); it returns

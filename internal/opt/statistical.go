@@ -200,7 +200,7 @@ func statPhaseA(ctx context.Context, e evaluator, o Options, target float64, res
 // accepting against per-gate statistical slacks inside an engine
 // transaction with incremental-SSTA rollback. Timing is maintained
 // incrementally — only the fanout cones of moved gates are re-timed —
-// and candidates are scored in parallel via the engine's worker pool,
+// and candidates are scored read-only against the round's baseline,
 // which is what keeps large-circuit optimization in seconds.
 func statPhaseB(ctx context.Context, e evaluator, o Options, res *StatResult) error {
 	d := e.Design()
@@ -354,13 +354,15 @@ type statCand struct {
 
 // statCandidates scores every feasible phase-B move by its reduction
 // of the objective leakage percentile per unit of mean-delay slack
-// consumed, and returns them best score first. The per-move delay effect is the local cell-delay change
-// (a phase-B move never changes the gate's own load), so candidates
-// prefilter analytically and the leakage-percentile deltas evaluate in
-// parallel through the engine's worker pool. Mean delay is the right
-// currency against StatisticalSlack's sigma-adjusted budget; the
-// move's (small) effect on the circuit sigma is caught by the
-// incremental-SSTA batch verification.
+// consumed, and returns them best score first. The per-move delay
+// effect is the local cell-delay change (a phase-B move never changes
+// the gate's own load, so one Load per gate serves the current cell
+// and both candidates), so candidates prefilter analytically and the
+// leakage-percentile deltas are scored read-only by the engine's
+// local scorer. Mean delay is the right currency against
+// StatisticalSlack's sigma-adjusted budget; the move's (small) effect
+// on the circuit sigma is caught by the incremental-SSTA batch
+// verification.
 func statCandidates(ctx context.Context, e evaluator, o Options, slack []float64, safety float64, blocked map[moveKey]bool) ([]statCand, error) {
 	d := e.Design()
 	var cands []statCand
@@ -373,8 +375,8 @@ func statCandidates(ctx context.Context, e evaluator, o Options, slack []float64
 		if slack[id] <= slackEps {
 			continue
 		}
-		m0 := d.GateDelay(id)
 		load := d.Load(id)
+		m0 := d.CellAt(id, d.Vth[id], d.Size[id], load).DelayPs
 
 		consider := func(mv engine.Move, dNew float64) {
 			if blocked[keyOf(mv)] {

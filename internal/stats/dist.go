@@ -147,7 +147,14 @@ func (l Lognormal) CDF(x float64) float64 {
 
 // Quantile returns the p-quantile exp(μ + σ·Φ⁻¹(p)).
 func (l Lognormal) Quantile(p float64) float64 {
-	return math.Exp(l.Mu + l.Sigma*NormalQuantile(p))
+	return l.QuantileZ(NormalQuantile(p))
+}
+
+// QuantileZ returns the quantile at standard-normal point z, i.e.
+// Quantile(p) for z = NormalQuantile(p) — for callers that evaluate
+// many fits at one fixed p.
+func (l Lognormal) QuantileZ(z float64) float64 {
+	return math.Exp(l.Mu + l.Sigma*z)
 }
 
 // String formats the distribution.
